@@ -8,10 +8,10 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      InvalidCodeError, NmhashError)
 from .losses import (LossValue, discrete_hash_loss, relaxed_hash_loss,
                      relaxed_hash_loss_grad)
-from .merging import (GroupOutput, MergeGraph, active_grad, active_loss,
-                      apply_active_step, eval_forward, frozen_forward,
-                      frozen_grads, frozen_loss, propagate_scores,
-                      score_neurons, truncate)
+from .merging import (MergeGraph, active_grad, active_loss,
+                      apply_active_step, apply_choices, draw_choices,
+                      eval_forward, frozen_grads, frozen_loss,
+                      propagate_scores, score_neurons, truncate)
 from .metrics import (RetrievalResult, average_precision, hamming_distance,
                       label_similarity, mean_average_precision, pr_curve,
                       precision_at_hamming_radius, precision_at_top_n,
@@ -19,8 +19,7 @@ from .metrics import (RetrievalResult, average_precision, hamming_distance,
 from .network import (HashNet, SgdConfig, backward, forward, init_network,
                       sgd_step)
 from .training import (Checkpoint, ExperimentConfig, RunReport, TrainingRun,
-                       leave_one_out_profile, load_checkpoint, resume_training,
-                       run_variant, save_checkpoint, train_baseline,
-                       train_progressive)
+                       leave_one_out, load_checkpoint, resume_training,
+                       run_variant, save_checkpoint)
 
 __version__ = "0.1.0"

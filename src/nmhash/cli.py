@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
 
 from .data import generate_synthetic, load_features, save_features
 from .errors import ConfigError, NmhashError
-from .merging import score_neurons
 from .metrics import (mean_average_precision, pr_curve,
                       precision_at_hamming_radius, precision_at_top_n)
 from .network import SgdConfig
-from .training import (Checkpoint, ExperimentConfig, RunReport, TrainingRun,
-                       VARIANTS, VARIANT_BASELINE, VARIANT_DROPOUT,
-                       VARIANT_FCLAYER, VARIANT_FULL, VARIANT_RANDOM,
-                       VARIANT_SELECT, load_checkpoint, save_checkpoint)
+from .training import (ExperimentConfig, RunReport, TrainingRun, VARIANTS,
+                       VARIANT_BASELINE, VARIANT_DROPOUT, VARIANT_FULL,
+                       leave_one_out, load_checkpoint, save_checkpoint)
 
 _DEFAULT_TOP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -199,14 +199,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_profile(args) -> int:
     run = _run_from_checkpoint(args.checkpoint, args.data)
-    q, q_labels = run.codes("query")
-    g, g_labels = run.codes("gallery")
-    if q.shape[1] < 2:
-        raise ConfigError("profile needs at least 2 effective bits")
-    p = score_neurons(g, g_labels, q, q_labels)
+    p, std = leave_one_out(*run.codes("query"), *run.codes("gallery"))
     out = {"schema_version": 1,
            "map_without_bit": [float(v) for v in p],
-           "std": float(p.std())}
+           "std": std}
     text = json.dumps(out, sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -225,8 +221,6 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def cmd_export_curves(args) -> int:
-    import os
-
     run = _run_from_checkpoint(args.checkpoint, args.data)
     with open(args.report, "r", encoding="utf-8") as fh:
         report = RunReport.from_json(fh.read())
@@ -248,10 +242,10 @@ def cmd_export_curves(args) -> int:
                "effective_bits,map",
                [(int(b), float(v)) for b, v in report.bit_trace])
 
-    if q.shape[1] >= 2:
-        p = score_neurons(g, g_labels, q, q_labels)
+    try:
+        p, _ = leave_one_out(q, q_labels, g, g_labels)
         loo_rows = [(bit, float(v)) for bit, v in enumerate(p)]
-    else:
+    except ConfigError:  # a 1-bit code has no profile
         loo_rows = []
     _write_csv(os.path.join(args.out_dir, "loo_profile.csv"),
                "bit,map_without_bit", loo_rows)
@@ -288,8 +282,7 @@ def cmd_ablate(args) -> int:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r} in --variants")
     else:
-        variants = [VARIANT_FULL, VARIANT_BASELINE, VARIANT_RANDOM,
-                    VARIANT_SELECT, VARIANT_DROPOUT, VARIANT_FCLAYER]
+        variants = list(VARIANTS)
     if VARIANT_FULL in variants:  # full leads the table
         variants = [VARIANT_FULL] + [v for v in variants if v != VARIANT_FULL]
     rows = []
@@ -299,7 +292,6 @@ def cmd_ablate(args) -> int:
             vcfg = _matched_epoch_config(cfg, variant, seed)
             report = TrainingRun(vcfg, ds).run().report()
             maps.append(report.final["map"])
-        import statistics
         rows.append({"variant": variant,
                      "median_map": float(statistics.median(maps)),
                      "maps": [float(v) for v in maps]})

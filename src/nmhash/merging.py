@@ -1,121 +1,73 @@
 """Progressive merging of redundant code bits.
 
-A MergeGraph sits on top of the encoder outputs.  It lives in two phases:
+Merging happens in rounds on top of the encoder outputs.  Each round has
+two phases:
 
-* Active: every node is its own group and the graph learns a symmetric
-  adjacency matrix A.  Per minibatch, each bit k gets a score p_k (the
-  retrieval MAP with bit k deleted, so redundant bits score high), scores
-  diffuse one step along A, and A descends the pairwise score-gap loss
-  sum_{i != j} |p'_i - p'_j|.  Bits whose scores the diffusion can equalize
-  cheaply end up strongly connected.
+* Active: every current group is one node and the round learns a
+  symmetric adjacency matrix A over those nodes.  Per minibatch, each bit k
+  gets a score p_k (the retrieval MAP with bit k deleted, so redundant bits
+  score high), scores diffuse one step along A, and A descends the pairwise
+  score-gap loss sum_{i != j} |p'_i - p'_j|.  Bits whose scores the
+  diffusion can equalize cheaply end up strongly connected.  A is a plain
+  array; the caller owns it.
 
-* Frozen: the top-m adjacency entries are snapped to 1 and the connected
-  components become merge groups.  During training each group forwards one
-  randomly chosen member bit and pulls the other members toward the sign
-  of the chosen one; at evaluation a group emits the majority-vote sign of
-  its members (0 on ties).
+* Frozen: the top-m adjacency entries are kept and their connected
+  components become merge groups (truncate).  During training each group
+  forwards one randomly chosen member bit and pulls the other members
+  toward the sign of the chosen one; at evaluation a group emits the
+  majority-vote sign of its members (0 on ties).
 
+A MergeGraph is the cumulative partition of the encoder bits into groups.
 Group lists are always sorted (members ascending, groups by first member),
 so everything downstream is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ConfigError
 from .metrics import _ap_per_query, as_code_matrix, relevance_matrix, sign_pm1
-
-PHASE_ACTIVE = "active"
-PHASE_FROZEN = "frozen"
-
-
-@dataclass
-class GroupOutput:
-    """Record of one merged group's forward choice."""
-
-    group_id: int
-    children: list[int]
-    chosen_child: int
-    value: float
 
 
 def _sorted_groups(groups):
     canon = [sorted(int(i) for i in g) for g in groups]
+    if any(not g for g in canon):
+        raise ValueError("merge groups must be non-empty")
     canon.sort(key=lambda g: g[0])
     return canon
 
 
-@dataclass
 class MergeGraph:
-    """Adjacency state plus the current partition of nodes into groups."""
+    """A partition of n_nodes encoder bits into merge groups.
 
-    n_nodes: int
-    adjacency: np.ndarray = field(repr=False)
-    phase: str
-    groups: list[list[int]]
-    nm_learning_rate: float = 1e-2
+    group_of[i] is the group of bit i and membership is the 0/1 matrix M
+    (n_nodes x n_groups) with M[i, group_of[i]] = 1.  Both are derived once
+    on construction; a MergeGraph is never mutated afterwards.
+    """
 
-    def __post_init__(self):
-        self.groups = _sorted_groups(self.groups)
-        self.validate()
+    def __init__(self, n_nodes: int, groups):
+        groups = _sorted_groups(groups)
+        if sorted(i for g in groups for i in g) != list(range(n_nodes)):
+            raise ValueError(f"groups must partition range({n_nodes})")
+        self.n_nodes = n_nodes
+        self.groups = groups
+        self.group_of = np.empty(n_nodes, dtype=np.intp)
+        for gid, members in enumerate(groups):
+            self.group_of[members] = gid
+        self.membership = np.zeros((n_nodes, len(groups)))
+        self.membership[np.arange(n_nodes), self.group_of] = 1.0
 
     @classmethod
-    def initial(cls, n_nodes: int, nm_learning_rate: float = 1e-2) -> "MergeGraph":
-        """Fresh active-phase graph: zero adjacency, singleton groups."""
-        if n_nodes < 1:
-            raise ConfigError(f"n_nodes must be >= 1, got {n_nodes}")
-        return cls(n_nodes, np.zeros((n_nodes, n_nodes)), PHASE_ACTIVE,
-                   [[i] for i in range(n_nodes)], nm_learning_rate)
-
-    @classmethod
-    def from_partition(cls, n_nodes: int, groups,
-                       nm_learning_rate: float = 1e-2) -> "MergeGraph":
-        """Frozen graph with the given partition; A is 1 within groups."""
-        adj = np.zeros((n_nodes, n_nodes))
-        for g in groups:
-            idx = np.asarray(sorted(g), dtype=np.intp)
-            adj[np.ix_(idx, idx)] = 1.0
-        np.fill_diagonal(adj, 0.0)
-        return cls(n_nodes, adj, PHASE_FROZEN, groups, nm_learning_rate)
+    def from_partition(cls, n_nodes: int, groups) -> "MergeGraph":
+        """The partition given by `groups`; rejects anything else."""
+        return cls(n_nodes, groups)
 
     @property
     def n_groups(self) -> int:
         return len(self.groups)
 
-    def copy(self) -> "MergeGraph":
-        return MergeGraph(self.n_nodes, self.adjacency.copy(), self.phase,
-                          [list(g) for g in self.groups],
-                          self.nm_learning_rate)
-
-    def validate(self):
-        a = self.adjacency
-        if a.shape != (self.n_nodes, self.n_nodes):
-            raise ValueError(
-                f"adjacency shape {a.shape} does not match n_nodes "
-                f"{self.n_nodes}"
-            )
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diagonal(a) != 0.0):
-            raise ValueError("adjacency diagonal must be zero")
-        if self.phase not in (PHASE_ACTIVE, PHASE_FROZEN):
-            raise ValueError(f"unknown phase {self.phase!r}")
-        flat = sorted(i for g in self.groups for i in g)
-        if flat != list(range(self.n_nodes)):
-            raise ValueError("groups must partition the node set")
-        if self.phase == PHASE_ACTIVE:
-            if any(len(g) != 1 for g in self.groups):
-                raise ValueError("active-phase groups must be singletons")
-        else:
-            if not np.isin(a, (0.0, 1.0)).all():
-                raise ValueError("frozen adjacency must be binary")
-            if _components(a) != self.groups:
-                raise ValueError(
-                    "frozen groups must equal the adjacency components"
-                )
+    def __repr__(self) -> str:
+        return f"MergeGraph(n_nodes={self.n_nodes}, groups={self.groups})"
 
 
 def score_neurons(gallery_codes, gallery_labels, query_codes,
@@ -189,20 +141,18 @@ def active_grad(scores, propagated) -> np.ndarray:
     return upper + upper.T
 
 
-def apply_active_step(graph: MergeGraph, adjacency_grad) -> MergeGraph:
-    """A <- A - nm_learning_rate * dA.  Active phase only; returns the graph."""
-    if graph.phase != PHASE_ACTIVE:
-        raise ValueError("adjacency updates are only legal in active phase")
+def apply_active_step(adjacency, adjacency_grad,
+                      nm_learning_rate: float) -> np.ndarray:
+    """A - nm_learning_rate * dA, as a new array."""
+    a = np.asarray(adjacency, dtype=np.float64)
     da = np.asarray(adjacency_grad, dtype=np.float64)
-    if da.shape != graph.adjacency.shape:
+    if da.shape != a.shape:
         raise ValueError(
-            f"gradient shape {da.shape} does not match adjacency "
-            f"{graph.adjacency.shape}"
+            f"gradient shape {da.shape} does not match adjacency {a.shape}"
         )
     if not np.array_equal(da, da.T) or np.any(np.diagonal(da) != 0.0):
         raise ValueError("adjacency gradient must be symmetric, zero diagonal")
-    graph.adjacency = graph.adjacency - graph.nm_learning_rate * da
-    return graph
+    return a - nm_learning_rate * da
 
 
 def _ranked_pairs(adjacency):
@@ -229,11 +179,19 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _components(binary_adjacency) -> list[list[int]]:
-    n = binary_adjacency.shape[0]
+def groups_after_truncation(adjacency, m: int) -> list[list[int]]:
+    """Connected components after keeping only the m largest edges.
+
+    Edges are ranked by adjacency value, ties by lexicographically smallest
+    (i, j).  Pure function of (A, m); the only place edges are ranked.
+    """
+    a = np.asarray(adjacency, dtype=np.float64)
+    n = a.shape[0]
+    max_edges = n * (n - 1) // 2
+    if not 0 <= m <= max_edges:
+        raise ValueError(f"m must be in [0, {max_edges}], got {m}")
     uf = _UnionFind(n)
-    rows, cols = np.nonzero(np.triu(binary_adjacency, k=1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    for i, j in _ranked_pairs(a)[:m]:
         uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -241,104 +199,56 @@ def _components(binary_adjacency) -> list[list[int]]:
     return _sorted_groups(groups.values())
 
 
-def groups_after_truncation(adjacency, m: int) -> list[list[int]]:
-    """Connected components after keeping only the m largest edges.
+def truncate(graph: MergeGraph, adjacency, m: int) -> MergeGraph:
+    """Merge the groups of `graph` along the top-m edges of a round adjacency.
 
-    Edges are ranked by adjacency value, ties by lexicographically smallest
-    (i, j).  Pure function of (A, m); used by truncate and by schedule
-    planning.
+    The adjacency has one node per current group.  Each component of its
+    top-m edges becomes one group of the returned partition, holding every
+    bit of the groups it joins.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    n = a.shape[0]
-    max_edges = n * (n - 1) // 2
-    if not 0 <= m <= max_edges:
-        raise ValueError(f"m must be in [0, {max_edges}], got {m}")
-    binary = np.zeros_like(a)
-    for i, j in _ranked_pairs(a)[:m]:
-        binary[i, j] = binary[j, i] = 1.0
-    return _components(binary)
-
-
-def truncate(graph: MergeGraph, m: int) -> MergeGraph:
-    """Snap the top-m edges to 1, drop the rest, switch to frozen phase.
-
-    The graph's groups become the connected components of the binary
-    adjacency.  Exactly m entries survive in the strict upper triangle.
-    """
-    if graph.phase != PHASE_ACTIVE:
-        raise ValueError("truncation is only legal in active phase")
-    a = graph.adjacency
-    n = graph.n_nodes
-    max_edges = n * (n - 1) // 2
-    if not 0 <= m <= max_edges:
-        raise ValueError(f"m must be in [0, {max_edges}], got {m}")
-    binary = np.zeros_like(a)
-    for i, j in _ranked_pairs(a)[:m]:
-        binary[i, j] = binary[j, i] = 1.0
-    graph.adjacency = binary
-    graph.groups = _components(binary)
-    graph.phase = PHASE_FROZEN
-    graph.validate()
-    return graph
-
-
-def _chosen(choice) -> int:
-    return choice.chosen_child if isinstance(choice, GroupOutput) else int(choice)
-
-
-def frozen_forward(graph: MergeGraph, u, rng):
-    """Forward one output vector through the frozen graph.
-
-    Each group emits the value of one uniformly chosen member (singletons
-    emit their sole node without consuming randomness).  Returns
-    (merged values, one GroupOutput per group).
-    """
-    if graph.phase != PHASE_FROZEN:
-        raise ValueError("frozen_forward requires a frozen graph")
-    v = np.asarray(u, dtype=np.float64).ravel()
-    if v.size != graph.n_nodes:
+    if a.shape != (graph.n_groups, graph.n_groups):
         raise ValueError(
-            f"got {v.size} values for {graph.n_nodes} nodes"
+            f"adjacency shape {a.shape} does not match {graph.n_groups} groups"
         )
-    merged = np.empty(graph.n_groups)
-    records = []
-    for gid, members in enumerate(graph.groups):
-        child = members[0] if len(members) == 1 else \
-            members[int(rng.integers(len(members)))]
-        merged[gid] = v[child]
-        records.append(GroupOutput(gid, list(members), child, float(v[child])))
-    return merged, records
+    return MergeGraph.from_partition(graph.n_nodes, [
+        [bit for node in component for bit in graph.groups[node]]
+        for component in groups_after_truncation(a, m)])
 
 
 def draw_choices(graph: MergeGraph, rng) -> list[int]:
-    """One uniformly chosen member per group (shared by a whole batch)."""
-    if graph.phase != PHASE_FROZEN:
-        raise ValueError("choices only exist in frozen phase")
+    """One uniformly chosen member per group (shared by a whole batch).
+
+    Singleton groups choose their sole member without consuming randomness.
+    """
     return [members[0] if len(members) == 1 else
             members[int(rng.integers(len(members)))]
             for members in graph.groups]
 
 
 def apply_choices(graph: MergeGraph, outputs, choices) -> np.ndarray:
-    """Batch form of frozen_forward for already-drawn choices."""
+    """Merged outputs: each group forwards the value of its chosen member.
+
+    Accepts a single vector or a batch (rows).
+    """
     u = np.asarray(outputs, dtype=np.float64)
-    idx = [_chosen(c) for c in choices]
-    if len(idx) != graph.n_groups:
+    if len(choices) != graph.n_groups:
         raise ValueError("one choice per group required")
-    return u[:, idx] if u.ndim == 2 else u[idx]
+    return u[..., list(choices)]
 
 
 def frozen_loss(graph: MergeGraph, u, choices) -> float:
     """Tie-members-together penalty for one vector (or a batch).
 
-    sum over groups g, members i != chosen(g) of (u_i - sign(u_chosen))^2.
+    sum over groups g, members i != c(g) of (u_i - sign(u_c(g)))^2, where
+    c(g) is the chosen member of g.
     """
-    if graph.phase != PHASE_FROZEN:
-        raise ValueError("frozen_loss requires a frozen graph")
     v = np.atleast_2d(np.asarray(u, dtype=np.float64))
     total = 0.0
+    # one column sum per free member, added in group/member order: the
+    # order fixes the rounding of the reported loss
     for members, choice in zip(graph.groups, choices):
-        c = _chosen(choice)
+        c = int(choice)
         target = sign_pm1(v[:, c])
         for i in members:
             if i != c:
@@ -349,13 +259,11 @@ def frozen_loss(graph: MergeGraph, u, choices) -> float:
 def frozen_grads(graph: MergeGraph, u, choices, d_merged) -> np.ndarray:
     """Route gradients from merged outputs back to the member nodes.
 
-    The chosen member of each group receives the upstream gradient; every
-    other member i receives 2 (u_i - sign(u_chosen)), the gradient of
+    The chosen member c of each group receives the upstream gradient; every
+    other member i receives 2 (u_i - sign(u_c)), the gradient of
     frozen_loss with the sign treated as constant.  Accepts a single
     vector or a batch (rows).
     """
-    if graph.phase != PHASE_FROZEN:
-        raise ValueError("frozen_grads requires a frozen graph")
     v = np.asarray(u, dtype=np.float64)
     single = v.ndim == 1
     v2 = np.atleast_2d(v)
@@ -365,18 +273,19 @@ def frozen_grads(graph: MergeGraph, u, choices, d_merged) -> np.ndarray:
             f"merged gradient shape {d2.shape} does not match "
             f"({v2.shape[0]}, {graph.n_groups})"
         )
-    out = np.zeros_like(v2)
-    for gid, members in enumerate(graph.groups):
-        c = _chosen(choices[gid])
-        if c not in members:
+    chosen = np.asarray(choices, dtype=np.intp)
+    if chosen.shape != (graph.n_groups,):
+        raise ValueError("one choice per group required")
+    for gid, c in enumerate(chosen.tolist()):
+        if c not in graph.groups[gid]:
             raise ValueError(f"choice {c} is not a member of group {gid}")
-        out[:, c] = d2[:, gid]
-        if len(members) > 1:
-            target = sign_pm1(v2[:, c])
-            for i in members:
-                if i != c:
-                    out[:, i] = 2.0 * (v2[:, i] - target)
+    target = sign_pm1(v2[:, chosen])
+    out = 2.0 * (v2 - target[:, graph.group_of])
+    out[:, chosen] = d2
     return out[0] if single else out
+
+
+_EVAL_BLOCK_ROWS = 2048
 
 
 def eval_forward(graph: MergeGraph, u) -> np.ndarray:
@@ -384,20 +293,19 @@ def eval_forward(graph: MergeGraph, u) -> np.ndarray:
 
     code_g = sign(sum over members of sign(u_i)) with inner sign(0) = +1;
     the outer sign keeps 0 for exact ties, so outputs live in {-1, 0, +1}.
-    Accepts a single vector or a batch (rows); allowed on frozen graphs
-    and on all-singleton active graphs.
+    The member sums are sums of +-1 values, so sign(U) @ M is exact.
+    Accepts a single vector or a batch (rows).
     """
-    if graph.phase == PHASE_ACTIVE and any(len(g) > 1 for g in graph.groups):
-        raise ValueError("eval_forward on an active graph needs singletons")
-    v = np.asarray(u, dtype=np.float64)
-    single = v.ndim == 1
-    v2 = np.atleast_2d(v)
-    if v2.shape[1] != graph.n_nodes:
+    v = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    if v.shape[-1] != graph.n_nodes:
         raise ValueError(
-            f"got {v2.shape[1]} values for {graph.n_nodes} nodes"
+            f"got {v.shape[-1]} values for {graph.n_nodes} nodes"
         )
-    codes = np.empty((v2.shape[0], graph.n_groups))
-    for gid, members in enumerate(graph.groups):
-        votes = sign_pm1(v2[:, members]).sum(axis=1)
-        codes[:, gid] = np.sign(votes)
-    return codes[0] if single else codes
+    rows = v.reshape(-1, graph.n_nodes)
+    codes = np.empty((rows.shape[0], graph.n_groups))
+    # blocks of rows keep the temporaries small: one product over a
+    # 20k-row gallery raised peak RSS by about 17 MB
+    for start in range(0, rows.shape[0], _EVAL_BLOCK_ROWS):
+        block = slice(start, start + _EVAL_BLOCK_ROWS)
+        codes[block] = np.sign(sign_pm1(rows[block]) @ graph.membership)
+    return codes.reshape(v.shape[:-1] + (graph.n_groups,))

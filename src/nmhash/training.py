@@ -23,6 +23,7 @@ report as an uninterrupted run.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -33,7 +34,7 @@ from .data import (FeatureDataset, ROLE_QUERY, ROLE_TRAIN, ROLE_VALIDATION,
                    assign_splits, build_similarity, standardize)
 from .errors import CheckpointError, ConfigError
 from .losses import relaxed_hash_loss, relaxed_hash_loss_grad
-from .merging import (MergeGraph, PHASE_ACTIVE, active_grad, active_loss,
+from .merging import (MergeGraph, active_grad, active_loss,
                       apply_active_step, apply_choices, draw_choices,
                       eval_forward, frozen_grads, frozen_loss,
                       groups_after_truncation, propagate_scores,
@@ -227,12 +228,16 @@ class RunReport:
 
 
 CHECKPOINT_MAGIC = "HMRG1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
 class Checkpoint:
-    """Resumable snapshot of a run at an epoch boundary."""
+    """Resumable snapshot of a run at an epoch boundary.
+
+    dataset_sha256 fingerprints the run's standardized features, label sets
+    and splits; a run restores only against the dataset it was written for.
+    """
 
     config: ExperimentConfig
     net: HashNet
@@ -240,6 +245,7 @@ class Checkpoint:
     counters: dict
     rng_state: dict
     progress: dict
+    dataset_sha256: str
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -274,14 +280,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         },
         "graph": {
             "n_nodes": ckpt.graph.n_nodes,
-            "phase": ckpt.graph.phase,
             "groups": [list(map(int, g)) for g in ckpt.graph.groups],
-            "nm_learning_rate": ckpt.graph.nm_learning_rate,
-            "adjacency": _encode_array(ckpt.graph.adjacency),
         },
         "counters": ckpt.counters,
         "rng_state": ckpt.rng_state,
         "progress": ckpt.progress,
+        "dataset_sha256": ckpt.dataset_sha256,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
@@ -313,12 +317,27 @@ def load_checkpoint(path) -> Checkpoint:
                   [_decode_array(w) for w in net_d["weights"]],
                   [_decode_array(b) for b in net_d["biases"]],
                   net_d["hidden_activation"])
-    graph_d = body["graph"]
-    graph = MergeGraph(graph_d["n_nodes"], _decode_array(graph_d["adjacency"]),
-                       graph_d["phase"], graph_d["groups"],
-                       graph_d["nm_learning_rate"])
+    graph = MergeGraph.from_partition(body["graph"]["n_nodes"],
+                                      body["graph"]["groups"])
     return Checkpoint(cfg, net, graph, body["counters"], body["rng_state"],
-                      body["progress"])
+                      body["progress"], body["dataset_sha256"])
+
+
+def _singletons(n: int) -> MergeGraph:
+    return MergeGraph.from_partition(n, [[i] for i in range(n)])
+
+
+def leave_one_out(query_codes, query_labels, gallery_codes,
+                  gallery_labels) -> tuple[np.ndarray, float]:
+    """Per-bit MAP with that bit deleted, and the spread of those values.
+
+    Scores query codes against gallery codes; needs at least 2 effective
+    bits.
+    """
+    if np.shape(query_codes)[1] < 2:
+        raise ConfigError("leave-one-out needs at least 2 effective bits")
+    p = score_neurons(gallery_codes, gallery_labels, query_codes, query_labels)
+    return p, float(p.std())
 
 
 class TrainingRun:
@@ -361,8 +380,7 @@ class TrainingRun:
         if _restore is None:
             self.net = init_network(
                 (ds.dim, *cfg.hidden_dims, width), s_init)
-            self.graph = MergeGraph.from_partition(
-                width, [[i] for i in range(width)], cfg.nm_learning_rate)
+            self.graph = _singletons(width)
             self.rng = np.random.default_rng(s_loop)
             if cfg.variant == VARIANT_FCLAYER:
                 head_rng = np.random.default_rng(s_head)
@@ -376,7 +394,7 @@ class TrainingRun:
             self.round_index = 0
             self.epoch_in_stage = 0
             self.global_epoch = 0
-            self.round_graph: MergeGraph | None = None
+            self.round_adjacency: np.ndarray | None = None
             self.base_loss_per_epoch: list[float] = []
             self.base_map: float | None = None
             self.rounds_done: list[dict] = []
@@ -399,8 +417,7 @@ class TrainingRun:
             "rounds_done": self.rounds_done,
             "current_round": self.current_round,
             "bit_trace": [[int(b), float(v)] for b, v in self.bit_trace],
-            "round_adjacency": _maybe_encode(
-                None if self.round_graph is None else self.round_graph.adjacency),
+            "round_adjacency": _maybe_encode(self.round_adjacency),
             "score_sum": _maybe_encode(self.score_sum),
             "score_batches": self.score_batches,
             "fc_w": _maybe_encode(self.fc_w),
@@ -410,12 +427,22 @@ class TrainingRun:
         counters = {"stage": self.stage, "round_index": self.round_index,
                     "epoch_in_stage": self.epoch_in_stage,
                     "global_epoch": self.global_epoch}
-        return Checkpoint(self.cfg, self.net.copy(), self.graph.copy(),
-                          counters, self.rng.bit_generator.state, progress)
+        return Checkpoint(self.cfg, self.net.copy(), self.graph, counters,
+                          self.rng.bit_generator.state, progress,
+                          self._dataset_sha256())
+
+    def _dataset_sha256(self) -> str:
+        h = hashlib.sha256(
+            np.ascontiguousarray(self.features, dtype="<f8").tobytes())
+        h.update(json.dumps([list(self.features.shape),
+                             [sorted(s) for s in self.labels],
+                             self.train_idx.tolist(), self.val_idx.tolist(),
+                             self.query_idx.tolist()]).encode("ascii"))
+        return h.hexdigest()
 
     def _restore_from(self, ckpt: Checkpoint):
         self.net = ckpt.net.copy()
-        self.graph = ckpt.graph.copy()
+        self.graph = ckpt.graph
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = ckpt.rng_state
         c = ckpt.counters
@@ -430,14 +457,7 @@ class TrainingRun:
         self.current_round = None if p["current_round"] is None \
             else dict(p["current_round"])
         self.bit_trace = [[int(b), float(v)] for b, v in p["bit_trace"]]
-        adj = _maybe_decode(p["round_adjacency"])
-        if adj is None:
-            self.round_graph = None
-        else:
-            k = adj.shape[0]
-            self.round_graph = MergeGraph(k, adj, PHASE_ACTIVE,
-                                          [[i] for i in range(k)],
-                                          self.cfg.nm_learning_rate)
+        self.round_adjacency = _maybe_decode(p["round_adjacency"])
         self.score_sum = _maybe_decode(p["score_sum"])
         self.score_batches = p["score_batches"]
         self.fc_w = _maybe_decode(p["fc_w"])
@@ -447,7 +467,13 @@ class TrainingRun:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint,
                         dataset: FeatureDataset) -> "TrainingRun":
-        return cls(ckpt.config, dataset, _restore=ckpt)
+        run = cls(ckpt.config, dataset, _restore=ckpt)
+        if run._dataset_sha256() != ckpt.dataset_sha256:
+            raise CheckpointError(
+                "checkpoint was written for a different dataset: features, "
+                "labels or splits differ"
+            )
+        return run
 
     # -- schedule --------------------------------------------------------
 
@@ -534,43 +560,32 @@ class TrainingRun:
                               "hash_loss_per_epoch": [],
                               "frozen_loss_per_epoch": []}
         if self.cfg.variant == VARIANT_FULL:
-            self.round_graph = MergeGraph.initial(k, self.cfg.nm_learning_rate)
+            self.round_adjacency = np.zeros((k, k))
             self._val_codes_cache = None
             self._enter(_STAGE_ACTIVE)
         else:  # random: skip score learning, merge a random adjacency
             adj = np.zeros((k, k))
             iu = np.triu_indices(k, 1)
             adj[iu] = self.rng.random(iu[0].size)
-            self.round_graph = MergeGraph(k, adj + adj.T, PHASE_ACTIVE,
-                                          [[i] for i in range(k)],
-                                          self.cfg.nm_learning_rate)
+            self.round_adjacency = adj + adj.T
             self._truncate_round()
             self._enter(_STAGE_FROZEN)
 
     def _truncate_round(self):
-        """Merge via the round graph; m shrinks if it would overshoot b_out."""
-        k = self.round_graph.n_nodes
+        """Merge via the round adjacency; m shrinks if it would overshoot b_out."""
+        k = self.graph.n_groups
         need = k - self.cfg.b_out
         m_used = min(self.cfg.m, k * (k - 1) // 2)
         while m_used > 1:
-            removed = k - len(groups_after_truncation(
-                self.round_graph.adjacency, m_used))
+            removed = k - len(groups_after_truncation(self.round_adjacency,
+                                                      m_used))
             if removed <= need:
                 break
             m_used -= 1
-        truncate(self.round_graph, m_used)
-        old_partition = self.graph.groups
-        new_partition = []
-        for round_group in self.round_graph.groups:
-            merged: list[int] = []
-            for node in round_group:
-                merged.extend(old_partition[node])
-            new_partition.append(sorted(merged))
-        self.graph = MergeGraph.from_partition(self.width, new_partition,
-                                               self.cfg.nm_learning_rate)
+        self.graph = truncate(self.graph, self.round_adjacency, m_used)
         self.current_round["m_used"] = m_used
         self.current_round["bits_after"] = self.graph.n_groups
-        self.round_graph = None
+        self.round_adjacency = None
         self._val_codes_cache = None
 
     def _apply_selection(self):
@@ -585,9 +600,7 @@ class TrainingRun:
         self.net.biases[-1] = self.net.biases[-1][keep].copy()
         self.net.layer_dims = (*self.net.layer_dims[:-1], len(keep))
         self.width = len(keep)
-        self.graph = MergeGraph.from_partition(
-            self.width, [[i] for i in range(self.width)],
-            self.cfg.nm_learning_rate)
+        self.graph = _singletons(self.width)
         self.bit_trace.append([self.width, self._map_eval()])
         self.score_sum = None
 
@@ -597,9 +610,7 @@ class TrainingRun:
         self.net.biases[-1] = self.net.biases[-1] @ self.fc_w + self.fc_b
         self.net.layer_dims = (*self.net.layer_dims[:-1], self.cfg.b_out)
         self.width = self.cfg.b_out
-        self.graph = MergeGraph.from_partition(
-            self.width, [[i] for i in range(self.width)],
-            self.cfg.nm_learning_rate)
+        self.graph = _singletons(self.width)
         self.fc_w = self.fc_b = None
         self.bit_trace.append([self.width, self._map_eval()])
 
@@ -653,10 +664,6 @@ class TrainingRun:
             self._val_codes_cache = eval_forward(self.graph, u)
         return self._val_codes_cache
 
-    def _scored_batch_codes(self, rows):
-        u, _ = forward(self.net, self.features[rows])
-        return eval_forward(self.graph, u)
-
     def _epoch_active(self):
         cfg = self.cfg
         val_codes = self._val_codes()
@@ -665,13 +672,19 @@ class TrainingRun:
         for b_index, rows in enumerate(self._batches()):
             if b_index % cfg.score_every != 0:
                 continue
-            codes = self._scored_batch_codes(rows)
+            codes = self._codes_for(rows)
             batch_labels = [self.labels[i] for i in rows]
             p = score_neurons(codes, batch_labels, val_codes, val_labels)
-            pp = propagate_scores(p, self.round_graph.adjacency)
-            assert abs(pp.sum() - p.sum()) < 1e-9 * max(1.0, abs(p.sum()))
+            pp = propagate_scores(p, self.round_adjacency)
+            if not abs(pp.sum() - p.sum()) < 1e-9 * max(1.0, abs(p.sum())):
+                raise ValueError(
+                    f"active round {self.round_index}, epoch "
+                    f"{self.epoch_in_stage}: score diffusion changed the "
+                    f"score sum from {p.sum()!r} to {pp.sum()!r}"
+                )
             loss_sum += active_loss(pp)
-            apply_active_step(self.round_graph, active_grad(p, pp))
+            self.round_adjacency = apply_active_step(
+                self.round_adjacency, active_grad(p, pp), cfg.nm_learning_rate)
             scored += 1
         self.current_round["active_loss_per_epoch"].append(loss_sum / scored)
 
@@ -682,7 +695,7 @@ class TrainingRun:
         for b_index, rows in enumerate(self._batches()):
             if b_index % cfg.score_every != 0:
                 continue
-            codes = self._scored_batch_codes(rows)
+            codes = self._codes_for(rows)
             batch_labels = [self.labels[i] for i in rows]
             self.score_sum += score_neurons(codes, batch_labels,
                                             val_codes, val_labels)
@@ -743,26 +756,18 @@ class TrainingRun:
             q, [self.labels[i] for i in self.query_idx],
             g, [self.labels[i] for i in self.train_idx])
 
-    def _loo_profile(self) -> tuple[np.ndarray, float] | None:
-        if self.graph.n_groups < 2:
-            return None
-        q = self._codes_for(self.query_idx)
-        g = self._codes_for(self.train_idx)
-        p = score_neurons(g, [self.labels[i] for i in self.train_idx],
-                          q, [self.labels[i] for i in self.query_idx])
-        return p, float(p.std())
-
     def report(self) -> RunReport:
         if not self.done:
             raise RuntimeError("report requested before the schedule finished")
-        q = self._codes_for(self.query_idx)
-        g = self._codes_for(self.train_idx)
-        q_labels = [self.labels[i] for i in self.query_idx]
-        g_labels = [self.labels[i] for i in self.train_idx]
+        q, q_labels = self.codes("query")
+        g, g_labels = self.codes("gallery")
         final_map = mean_average_precision(q, q_labels, g, g_labels)
         radius2 = precision_at_hamming_radius(q, q_labels, g, g_labels,
                                               radius=2.0)
-        loo = self._loo_profile()
+        try:
+            loo = leave_one_out(q, q_labels, g, g_labels)
+        except ConfigError:  # a 1-bit code has no profile
+            loo = None
         return RunReport(
             variant=self.cfg.variant,
             seed=self.cfg.seed,
@@ -788,28 +793,6 @@ class TrainingRun:
 # -- public entry points --------------------------------------------------
 
 
-def train_baseline(cfg: ExperimentConfig,
-                   dataset: FeatureDataset) -> tuple[HashNet, RunReport]:
-    """Train a fixed-width encoder (variant 'baseline'); returns (net, report)."""
-    if cfg.variant != VARIANT_BASELINE:
-        raise ConfigError(
-            f"train_baseline needs variant='baseline', got {cfg.variant!r}"
-        )
-    run = TrainingRun(cfg, dataset).run()
-    return run.net, run.report()
-
-
-def train_progressive(cfg: ExperimentConfig, dataset: FeatureDataset
-                      ) -> tuple[HashNet, MergeGraph, RunReport]:
-    """Train with merge rounds until b_out bits (variant 'full')."""
-    if cfg.variant != VARIANT_FULL:
-        raise ConfigError(
-            f"train_progressive needs variant='full', got {cfg.variant!r}"
-        )
-    run = TrainingRun(cfg, dataset).run()
-    return run.net, run.graph, run.report()
-
-
 def run_variant(cfg: ExperimentConfig, dataset: FeatureDataset) -> RunReport:
     """Run any variant end to end and return its report."""
     return TrainingRun(cfg, dataset).run().report()
@@ -819,27 +802,3 @@ def resume_training(ckpt: Checkpoint, dataset: FeatureDataset,
                     stop_after: int | None = None) -> TrainingRun:
     """Continue a checkpointed run against the same dataset."""
     return TrainingRun.from_checkpoint(ckpt, dataset).run(stop_after=stop_after)
-
-
-def leave_one_out_profile(net: HashNet, graph: MergeGraph,
-                          dataset: FeatureDataset) -> tuple[np.ndarray, float]:
-    """Per-bit MAP with that bit deleted, on query-vs-gallery eval codes.
-
-    The dataset must have splits assigned; features are standardized from
-    its train split (a no-op if they already are).  Needs >= 2 effective
-    bits.
-    """
-    if graph.n_groups < 2:
-        raise ValueError("profile needs at least 2 effective bits")
-    ds = standardize(dataset)
-    q_idx = ds.indices(ROLE_QUERY)
-    g_idx = ds.indices(ROLE_TRAIN)
-    if q_idx.size == 0:
-        raise ConfigError("profile needs a non-empty query split")
-    uq, _ = forward(net, ds.features[q_idx])
-    ug, _ = forward(net, ds.features[g_idx])
-    q = eval_forward(graph, uq)
-    g = eval_forward(graph, ug)
-    p = score_neurons(g, [ds.labels[i] for i in g_idx],
-                      q, [ds.labels[i] for i in q_idx])
-    return p, float(p.std())

@@ -75,3 +75,37 @@ def relative_error(analytic, numeric) -> float:
     b = np.asarray(numeric, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def top_m_components(adjacency, m: int) -> list[list[int]]:
+    """Components of the graph on the m strongest edges, found by BFS.
+
+    Edges (i < j) are ranked by (-a_ij, i, j); exactly m of them are
+    built.  Groups come out sorted, and ordered by their first member.
+    """
+    a = np.asarray(adjacency, dtype=np.float64)
+    n = a.shape[0]
+    ranked = sorted((-a[i, j], i, j) for i in range(n) for j in range(i + 1, n))
+    neighbours = {i: [] for i in range(n)}
+    built = 0
+    for _, i, j in ranked[:m]:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+        built += 1
+    assert built == m, f"asked for {m} edges, built {built}"
+    seen = set()
+    groups = []
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, group = [start], []
+        while queue:
+            node = queue.pop(0)
+            group.append(node)
+            for nb in neighbours[node]:
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        groups.append(sorted(group))
+    return groups

@@ -39,7 +39,8 @@ from nmhash.metrics import mean_average_precision, retrieve
 from nmhash.network import SgdConfig, backward, forward, init_network
 from nmhash.training import ExperimentConfig, TrainingRun, load_checkpoint, \
     resume_training, save_checkpoint
-from oracles import brute_force_map, central_difference, relative_error
+from oracles import (brute_force_map, central_difference, relative_error,
+                     top_m_components)
 
 DESK = SgdConfig(learning_rate=1e-7, weight_decay=1e-5)
 
@@ -247,16 +248,16 @@ def test_criterion_3_merge_layer_invariants():
     p = rng.random(9)
     identity_ok = (propagate_scores(p, np.zeros((9, 9))) == p).all()
 
-    # truncation: exactly m surviving edges, deterministic tie handling
+    # truncation: the components of exactly m surviving edges (brute-force
+    # oracle), deterministic tie handling
     trunc_ok = True
+    singletons = MergeGraph.from_partition(5, [[i] for i in range(5)])
     for m in (0, 1, 3, 6, 10):
         a = np.triu(rng.uniform(0, 1, (5, 5)), 1)
         a = a + a.T
-        g = MergeGraph.initial(5)
-        g.adjacency = a.copy()
-        truncate(g, m)
-        trunc_ok &= int(np.triu(g.adjacency, 1).sum()) == m
-        trunc_ok &= groups_after_truncation(a, m) == g.groups
+        expected = top_m_components(a, m)
+        trunc_ok &= groups_after_truncation(a, m) == expected
+        trunc_ok &= truncate(singletons, a, m).groups == expected
     tie = np.ones((4, 4)) - np.eye(4)
     trunc_ok &= groups_after_truncation(tie, 1) == [[0, 1], [2], [3]]
     trunc_ok &= groups_after_truncation(tie, 2) == [[0, 1, 2], [3]]

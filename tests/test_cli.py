@@ -196,6 +196,19 @@ def test_evaluate_rejects_foreign_checkpoint(trained, capsys):
     _err_line(capsys)
 
 
+def test_evaluate_rejects_checkpoint_of_another_dataset(trained, tmp_path,
+                                                        capsys):
+    # same shape as the training data, another seed
+    other = tmp_path / "seed9.csv"
+    assert main(["gen-data", "--classes", "3", "--dim", "6",
+                 "--per-class", "40", "--noise", "2.0", "--seed", "9",
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(trained["ckpt"]),
+                 "--data", str(other)]) == 1
+    assert "different dataset" in _err_line(capsys)
+
+
 # --- profile --------------------------------------------------------------------------
 
 def test_profile_matches_report_values(trained, capsys):
@@ -207,6 +220,26 @@ def test_profile_matches_report_values(trained, capsys):
         report["leave_one_out"]["map_without_bit"]
     assert profile["std"] == report["leave_one_out"]["std"]
     assert len(profile["map_without_bit"]) == 6
+
+
+def test_profile_refuses_one_bit_checkpoint(data_file, tmp_path, capsys):
+    ckpt = tmp_path / "one_bit.ckpt"
+    report = tmp_path / "one_bit.report.json"
+    assert main(["train", "--data", str(data_file), "--variant", "baseline",
+                 "--b-in", "1", "--b-out", "1", "--base-epochs", "1",
+                 "--batch-size", "64", "--hidden-dims", "32",
+                 "--lr", "1e-7", "--seed", "3", "--out-checkpoint", str(ckpt),
+                 "--out-report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--checkpoint", str(ckpt),
+                 "--data", str(data_file)]) == 1
+    assert "at least 2 effective bits" in _err_line(capsys)
+    # export-curves still writes every file; the profile has no rows
+    out_dir = tmp_path / "curves"
+    assert main(["export-curves", "--checkpoint", str(ckpt),
+                 "--data", str(data_file), "--report", str(report),
+                 "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "loo_profile.csv").read_text() == "bit,map_without_bit\n"
 
 
 # --- export-curves ----------------------------------------------------------------------

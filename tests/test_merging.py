@@ -1,13 +1,12 @@
-"""Merge graph: scoring, diffusion, truncation, frozen phase, voting."""
+"""Merge partition: scoring, diffusion, truncation, frozen phase, voting."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from nmhash.data import generate_synthetic
 from nmhash.merging import (
-    PHASE_ACTIVE,
-    PHASE_FROZEN,
     MergeGraph,
     active_grad,
     active_loss,
@@ -15,7 +14,6 @@ from nmhash.merging import (
     apply_choices,
     draw_choices,
     eval_forward,
-    frozen_forward,
     frozen_grads,
     frozen_loss,
     groups_after_truncation,
@@ -23,7 +21,9 @@ from nmhash.merging import (
     score_neurons,
     truncate,
 )
-from oracles import brute_force_map, naive_propagate
+from nmhash.network import SgdConfig
+from nmhash.training import ExperimentConfig, TrainingRun
+from oracles import brute_force_map, naive_propagate, top_m_components
 
 
 def _random_symmetric(n, rng, scale=0.1):
@@ -34,34 +34,44 @@ def _random_symmetric(n, rng, scale=0.1):
 
 # --- graph construction and validation --------------------------------------
 
+def _singletons(n):
+    return MergeGraph.from_partition(n, [[i] for i in range(n)])
+
+
 def test_initial_graph_is_active_singletons():
-    g = MergeGraph.initial(4)
-    assert g.phase == PHASE_ACTIVE
-    assert g.groups == [[0], [1], [2], [3]]
-    assert not g.adjacency.any()
+    # the first active round starts from singleton groups and a zero
+    # adjacency over them
+    cfg = ExperimentConfig(b_in=6, b_out=4, m=2, base_epochs=1, n0_epochs=1,
+                           n1_epochs=1, batch_size=32, hidden_dims=(8,),
+                           backbone_sgd=SgdConfig(learning_rate=1e-7),
+                           n_validation=10, n_query=10, seed=0)
+    run = TrainingRun(cfg, generate_synthetic(2, 4, 30, 1.0, seed=0))
+    assert run.round_adjacency is None
+    run.run(stop_after=1)
+    assert run.stage == "active"
+    assert run.graph.groups == [[i] for i in range(6)]
+    np.testing.assert_array_equal(run.graph.membership, np.eye(6))
+    np.testing.assert_array_equal(run.round_adjacency, np.zeros((6, 6)))
 
 
 def test_from_partition_builds_binary_components():
     g = MergeGraph.from_partition(4, [[0, 2], [1], [3]])
-    assert g.phase == PHASE_FROZEN
     assert g.groups == [[0, 2], [1], [3]]
-    assert g.adjacency[0, 2] == g.adjacency[2, 0] == 1.0
-    assert g.adjacency.sum() == 2.0
-    assert not np.diagonal(g.adjacency).any()
+    assert g.n_groups == 3
+    np.testing.assert_array_equal(g.group_of, [0, 1, 0, 2])
+    np.testing.assert_array_equal(g.membership, [[1, 0, 0],
+                                                 [0, 1, 0],
+                                                 [1, 0, 0],
+                                                 [0, 0, 1]])
 
 
 def test_validate_rejects_inconsistent_graphs():
-    with pytest.raises(ValueError):
-        MergeGraph(2, np.array([[0.0, 1.0], [0.5, 0.0]]), PHASE_ACTIVE,
-                   [[0], [1]])  # asymmetric
-    with pytest.raises(ValueError):
-        MergeGraph(2, np.eye(2), PHASE_ACTIVE, [[0], [1]])  # diagonal
-    with pytest.raises(ValueError):
-        MergeGraph(2, np.zeros((2, 2)), PHASE_ACTIVE, [[0, 1]])  # not singleton
-    with pytest.raises(ValueError):
-        MergeGraph(2, np.zeros((2, 2)), PHASE_FROZEN, [[0, 1]])  # no edge
-    with pytest.raises(ValueError):
-        MergeGraph(2, np.zeros((2, 2)), PHASE_ACTIVE, [[0], [0]])
+    for n, groups in [(2, [[0], [0]]),       # repeated node
+                      (2, [[0]]),            # missing node
+                      (2, [[0], [1], [2]]),  # node out of range
+                      (2, [[0, 1], []])]:    # empty group
+        with pytest.raises(ValueError):
+            MergeGraph.from_partition(n, groups)
 
 
 def test_groups_are_canonically_sorted():
@@ -180,35 +190,30 @@ def test_active_grad_matches_pair_term_finite_difference():
 
 
 def test_apply_active_step_hand_value():
-    g = MergeGraph.initial(2, nm_learning_rate=0.01)
+    a = np.zeros((2, 2))
     da = np.array([[0.0, -0.2], [-0.2, 0.0]])
-    apply_active_step(g, da)
-    assert g.adjacency[0, 1] == pytest.approx(0.002)
+    stepped = apply_active_step(a, da, 0.01)
+    assert stepped[0, 1] == pytest.approx(0.002)
+    assert not a.any()  # returns a new array
 
 
 def test_apply_active_step_zero_grad_is_identity():
-    g = MergeGraph.initial(3)
-    before = g.adjacency.copy()
-    apply_active_step(g, np.zeros((3, 3)))
-    np.testing.assert_array_equal(g.adjacency, before)
+    a = _random_symmetric(3, np.random.default_rng(2))
+    np.testing.assert_array_equal(
+        apply_active_step(a, np.zeros((3, 3)), 0.01), a)
 
 
 def test_apply_active_step_rejects_bad_inputs():
-    frozen = MergeGraph.from_partition(2, [[0, 1]])
-    with pytest.raises(ValueError):
-        apply_active_step(frozen, np.zeros((2, 2)))
-    active = MergeGraph.initial(2)
-    with pytest.raises(ValueError):
-        apply_active_step(active, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    a = np.zeros((2, 2))
+    with pytest.raises(ValueError):  # asymmetric
+        apply_active_step(a, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.01)
+    with pytest.raises(ValueError):  # nonzero diagonal
+        apply_active_step(a, np.eye(2), 0.01)
+    with pytest.raises(ValueError):  # shape mismatch
+        apply_active_step(a, np.zeros((3, 3)), 0.01)
 
 
 # --- truncation ---------------------------------------------------------------
-
-def _graph_with_adjacency(a):
-    g = MergeGraph.initial(a.shape[0])
-    g.adjacency = np.asarray(a, dtype=np.float64)
-    return g
-
 
 def test_truncation_three_node_hand_case():
     a = np.array([[0.0, 0.5, 0.1],
@@ -220,14 +225,15 @@ def test_truncation_three_node_hand_case():
 
 
 def test_truncate_snaps_exactly_m_edges():
+    # the oracle builds exactly m edges and takes their components by BFS
     rng = np.random.default_rng(9)
-    for m in (0, 1, 3, 6):
-        g = _graph_with_adjacency(_random_symmetric(5, rng, scale=1.0))
-        truncate(g, m)
-        assert g.phase == PHASE_FROZEN
-        assert int(np.triu(g.adjacency, 1).sum()) == m
-        assert set(np.unique(g.adjacency)) <= {0.0, 1.0}
-        g.validate()
+    for n in (2, 3, 5, 7):
+        for m in range(n * (n - 1) // 2 + 1):
+            a = _random_symmetric(n, rng, scale=1.0)
+            a[0, n - 1] = a[n - 1, 0] = a[0, 1]  # one tied pair of values
+            expected = top_m_components(a, m)
+            assert groups_after_truncation(a, m) == expected
+            assert truncate(_singletons(n), a, m).groups == expected
 
 
 def test_truncate_tie_break_is_lexicographic():
@@ -237,46 +243,82 @@ def test_truncate_tie_break_is_lexicographic():
     assert groups_after_truncation(a, 2) == [[0, 1, 2], [3]]
 
 
-def test_truncate_rejects_bad_m_and_phase():
-    g = _graph_with_adjacency(np.zeros((3, 3)))
+def test_truncate_rejects_bad_m_and_shape():
+    g = _singletons(3)
     with pytest.raises(ValueError):
-        truncate(g, 4)
+        truncate(g, np.zeros((3, 3)), 4)
     with pytest.raises(ValueError):
-        truncate(g, -1)
-    frozen = MergeGraph.from_partition(3, [[0, 1], [2]])
-    with pytest.raises(ValueError):
-        truncate(frozen, 1)
+        truncate(g, np.zeros((3, 3)), -1)
+    merged = MergeGraph.from_partition(3, [[0, 1], [2]])
+    with pytest.raises(ValueError):  # one adjacency node per group
+        truncate(merged, np.zeros((3, 3)), 1)
 
 
 def test_truncation_matches_pure_function():
     rng = np.random.default_rng(31)
     a = _random_symmetric(6, rng, scale=1.0)
     expected = groups_after_truncation(a, 4)
-    g = _graph_with_adjacency(a)
-    truncate(g, 4)
-    assert g.groups == expected
+    assert truncate(_singletons(6), a, 4).groups == expected
+
+
+def test_truncate_composes_round_groups_onto_partition():
+    # nodes of the round adjacency are the current groups, in order
+    g = MergeGraph.from_partition(6, [[0, 3], [1], [2, 5], [4]])
+    a = np.zeros((4, 4))
+    a[0, 2] = a[2, 0] = 1.0
+    merged = truncate(g, a, 1)
+    assert merged.groups == [[0, 2, 3, 5], [1], [4]]
+    assert merged.n_nodes == 6
+    assert g.groups == [[0, 3], [1], [2, 5], [4]]  # input untouched
+
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        perm = rng.permutation(n).tolist()
+        cuts = sorted(set(rng.integers(1, n, size=2).tolist()))
+        parts = [perm[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+        g = MergeGraph.from_partition(n, parts)
+        k = g.n_groups
+        a = _random_symmetric(k, rng, scale=1.0)
+        m = int(rng.integers(0, k * (k - 1) // 2 + 1))
+        expected = sorted((sorted(bit for node in comp for bit in g.groups[node])
+                           for comp in top_m_components(a, m)),
+                          key=lambda grp: grp[0])
+        assert truncate(g, a, m).groups == expected
 
 
 # --- frozen phase -------------------------------------------------------------
 
-def test_frozen_forward_emits_chosen_member():
+def test_apply_choices_emits_chosen_member():
     g = MergeGraph.from_partition(3, [[0, 1], [2]])
     u = np.array([0.7, -0.2, 0.9])
-    merged, records = frozen_forward(g, u, np.random.default_rng(0))
+    choices = draw_choices(g, np.random.default_rng(0))
+    merged = apply_choices(g, u, choices)
     assert merged.shape == (2,)
-    assert records[0].chosen_child in (0, 1)
-    assert merged[0] == u[records[0].chosen_child]
-    assert records[1].chosen_child == 2
+    assert choices[0] in (0, 1)
+    assert merged[0] == u[choices[0]]
+    assert choices[1] == 2
     assert merged[1] == pytest.approx(0.9)
+    with pytest.raises(ValueError):
+        apply_choices(g, u, [0])
 
 
-def test_frozen_forward_singletons_skip_rng():
+def test_draw_choices_singletons_skip_rng():
     g = MergeGraph.from_partition(3, [[0], [1], [2]])
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
-    merged, _ = frozen_forward(g, [0.1, 0.2, 0.3], rng)
+    choices = draw_choices(g, rng)
     assert rng.bit_generator.state == before
-    np.testing.assert_allclose(merged, [0.1, 0.2, 0.3])
+    assert choices == [0, 1, 2]
+    np.testing.assert_allclose(apply_choices(g, [0.1, 0.2, 0.3], choices),
+                               [0.1, 0.2, 0.3])
+    # a mixed partition draws exactly one number per non-singleton group
+    mixed = MergeGraph.from_partition(5, [[0, 3], [1], [2, 4]])
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    draw_choices(mixed, rng_a)
+    rng_b.integers(2)
+    rng_b.integers(2)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_choice_frequency_is_uniform():
@@ -327,6 +369,17 @@ def test_frozen_grads_batch_matches_vector_form():
             batch[row], frozen_grads(g, u[row], [2, 1], d[row]))
 
 
+def test_frozen_grads_rejects_non_member_choice():
+    g = MergeGraph.from_partition(3, [[0, 2], [1]])
+    u = np.array([0.5, -0.5, 2.0])
+    d = np.zeros(2)
+    for bad in ([1, 1], [0, 2], [-1, 1], [3, 1]):
+        with pytest.raises(ValueError, match="not a member"):
+            frozen_grads(g, u, bad, d)
+    with pytest.raises(ValueError):
+        frozen_grads(g, u, [0], d)
+
+
 def test_frozen_loss_grad_matches_finite_differences():
     # with zero upstream the routed gradient is exactly the penalty grad
     rng = np.random.default_rng(17)
@@ -347,16 +400,6 @@ def test_frozen_loss_grad_matches_finite_differences():
             numeric = (frozen_loss(g, hi, choices) -
                        frozen_loss(g, lo, choices)) / (2 * h)
             assert analytic[i] == pytest.approx(numeric, abs=1e-6)
-
-
-def test_frozen_calls_reject_active_graph():
-    g = MergeGraph.initial(2)
-    with pytest.raises(ValueError):
-        frozen_forward(g, [0.1, 0.2], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        draw_choices(g, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        frozen_loss(g, [0.1, 0.2], [0, 1])
 
 
 # --- evaluation-mode voting ----------------------------------------------------
@@ -402,12 +445,16 @@ def test_vote_batch_rows_independent():
     batch = np.array([[0.3, 0.8], [0.3, -0.8], [-1.0, -1.0]])
     np.testing.assert_array_equal(eval_forward(g, batch),
                                   [[1.0], [0.0], [-1.0]])
+    # a batch long enough to be encoded in several row blocks
+    g = MergeGraph.from_partition(5, [[0, 3], [1, 2, 4]])
+    batch = np.random.default_rng(10).normal(size=(4101, 5))
+    np.testing.assert_array_equal(
+        eval_forward(g, batch), np.stack([eval_forward(g, row) for row in batch]))
 
 
-def test_vote_allowed_on_singleton_active_graph_only():
-    active = MergeGraph.initial(2)
-    np.testing.assert_array_equal(eval_forward(active, [0.5, -0.5]), [1.0, -1.0])
-    merged = MergeGraph.from_partition(2, [[0, 1]])
-    merged.phase = PHASE_ACTIVE  # simulate misuse
+def test_vote_on_singletons_is_sign():
+    g = _singletons(3)
+    np.testing.assert_array_equal(eval_forward(g, [0.5, -0.5, 0.0]),
+                                  [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
-        eval_forward(merged, [0.5, -0.5])
+        eval_forward(g, [0.5, -0.5])  # width must match n_nodes

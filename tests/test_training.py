@@ -1,24 +1,24 @@
 """Training schedules: config, stage machine, variants, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
+import nmhash.training
 from nmhash.data import assign_splits, generate_synthetic
 from nmhash.errors import CheckpointError, ConfigError
 from nmhash.network import SgdConfig
 from nmhash.training import (
-    Checkpoint,
+    CHECKPOINT_MAGIC,
     ExperimentConfig,
     RunReport,
     TrainingRun,
-    VARIANTS,
-    leave_one_out_profile,
+    leave_one_out,
     load_checkpoint,
     resume_training,
     run_variant,
     save_checkpoint,
-    train_baseline,
-    train_progressive,
 )
 
 # step size for this desk-scale data; the reference default (1e-4) diverges
@@ -111,17 +111,10 @@ def test_zero_base_epochs_leaves_initialization_untouched(dataset):
 
 def test_training_loss_decreases(dataset):
     cfg = small_config(variant="baseline", b_in=6, base_epochs=10)
-    _, report = train_baseline(cfg, dataset)
+    report = TrainingRun(cfg, dataset).run().report()
     losses = report.base["hash_loss_per_epoch"]
     assert len(losses) == 10
     assert losses[5] < losses[0]
-
-
-def test_entry_points_enforce_variant(dataset):
-    with pytest.raises(ConfigError):
-        train_baseline(small_config(), dataset)
-    with pytest.raises(ConfigError):
-        train_progressive(small_config(variant="baseline", b_in=6), dataset)
 
 
 # --- variant equivalences -------------------------------------------------------
@@ -160,7 +153,8 @@ def test_dropout_trains_at_output_width(dataset):
 # --- merging variants ------------------------------------------------------------
 
 def test_full_run_structure(dataset):
-    net, graph, report = train_progressive(small_config(), dataset)
+    run = TrainingRun(small_config(), dataset).run()
+    net, graph, report = run.net, run.graph, run.report()
     assert net.n_bits == 8  # encoder keeps its width; merging is on top
     assert graph.n_groups == 6
     assert sorted(i for g in graph.groups for i in g) == list(range(8))
@@ -259,7 +253,7 @@ def test_profile_matches_report(dataset):
     split = assign_splits(dataset, 24, 24, seed=9)
     run = TrainingRun(small_config(), split).run()
     report = run.report()
-    p, std = leave_one_out_profile(run.net, run.graph, split)
+    p, std = leave_one_out(*run.codes("query"), *run.codes("gallery"))
     assert p.shape == (6,)
     np.testing.assert_array_equal(p, report.leave_one_out["map_without_bit"])
     assert std == report.leave_one_out["std"]
@@ -270,8 +264,9 @@ def test_profile_needs_two_groups(dataset):
     run = TrainingRun(
         small_config(variant="baseline", b_in=1, b_out=1, base_epochs=1),
         split).run()
-    with pytest.raises(ValueError):
-        leave_one_out_profile(run.net, run.graph, split)
+    assert run.report().leave_one_out is None
+    with pytest.raises(ConfigError, match="at least 2 effective bits"):
+        leave_one_out(*run.codes("query"), *run.codes("gallery"))
 
 
 def test_validation_split_required_for_scoring_variants(dataset):
@@ -295,8 +290,10 @@ def test_checkpoint_file_round_trip(tmp_path, dataset):
     assert back.rng_state == ckpt.rng_state
     for wa, wb in zip(back.net.weights, ckpt.net.weights):
         np.testing.assert_array_equal(wa, wb)
-    np.testing.assert_array_equal(back.graph.adjacency, ckpt.graph.adjacency)
+    assert back.graph.n_nodes == ckpt.graph.n_nodes
     assert back.graph.groups == ckpt.graph.groups
+    np.testing.assert_array_equal(back.graph.membership, ckpt.graph.membership)
+    assert back.dataset_sha256 == ckpt.dataset_sha256
     # progress is pure JSON types (arrays ride base64-encoded), so plain
     # equality is the bit-exact comparison
     assert back.progress == ckpt.progress
@@ -315,6 +312,38 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     bad_version.write_text('HMRG1\n{"format_version": 99}\n')
     with pytest.raises(CheckpointError):
         load_checkpoint(bad_version)
+    # format 1 stored the merge graph as a dense adjacency and no dataset
+    # fingerprint; it is refused, not guessed at
+    v1 = tmp_path / "v1"
+    v1.write_text('HMRG1\n{"format_version": 1}\n')
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(v1)
+
+
+def test_checkpoint_graph_section_is_the_partition(tmp_path, dataset):
+    run = TrainingRun(small_config(), dataset).run()
+    path = tmp_path / "done.ckpt"
+    save_checkpoint(run.to_checkpoint(), path)
+    magic, body = path.read_text().split("\n", 1)
+    assert magic == CHECKPOINT_MAGIC
+    body = json.loads(body)
+    assert body["format_version"] == 2
+    assert body["graph"] == {"n_nodes": 8, "groups": run.graph.groups}
+    assert len(body["dataset_sha256"]) == 64
+
+
+def test_resume_rejects_another_dataset(tmp_path, dataset):
+    run = TrainingRun(small_config(), dataset).run(stop_after=3)
+    path = tmp_path / "mid.ckpt"
+    save_checkpoint(run.to_checkpoint(), path)
+    other = generate_synthetic(4, 8, 60, 2.0, seed=9)  # same shape
+    with pytest.raises(CheckpointError, match="different dataset"):
+        resume_training(load_checkpoint(path), other)
+    # same features and labels under other splits are another dataset too
+    resplit = assign_splits(dataset, 24, 24, seed=1)
+    with pytest.raises(CheckpointError, match="different dataset"):
+        resume_training(load_checkpoint(path), resplit)
+    assert resume_training(load_checkpoint(path), dataset).done
 
 
 @pytest.mark.parametrize("stop", [0, 1, 3, 5])
@@ -344,6 +373,18 @@ def test_resume_in_two_hops_matches(tmp_path, dataset):
     save_checkpoint(hop2.to_checkpoint(), tmp_path / "b.ckpt")
     final = resume_training(load_checkpoint(tmp_path / "b.ckpt"), dataset)
     assert final.report().to_json() == expected
+
+
+def test_score_conservation_failure_names_round_and_epoch(dataset,
+                                                         monkeypatch):
+    def nan_scores(gallery_codes, *args):
+        return np.full(np.shape(gallery_codes)[1], np.nan)
+
+    run = TrainingRun(small_config(), dataset).run(stop_after=2)
+    assert run.stage == "active"
+    monkeypatch.setattr(nmhash.training, "score_neurons", nan_scores)
+    with pytest.raises(ValueError, match="active round 1, epoch 0"):
+        run.run()
 
 
 def test_codes_accessor_roles(dataset):
