@@ -21,27 +21,75 @@ def ap_from_flags(flags) -> float:
     return total / hits if hits else 0.0
 
 
+def code_distance(a, b) -> float:
+    """Hamming distance of two {-1, 0, +1} codes, one bit at a time.
+
+    Equal signs cost 0 and opposite signs 1.  A 0 entry on either side
+    costs 1/2, against a sign or against another 0.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        if x == 0 or y == 0:
+            total += 0.5
+        elif x != y:
+            total += 1.0
+    return total
+
+
 def ranking_for_query(query_code, gallery_codes) -> list[int]:
     """Gallery indices by ascending Hamming distance, ties by index."""
     keyed = []
     for j, g in enumerate(gallery_codes):
-        mismatches = sum(1 for a, b in zip(query_code, g) if a != b)
-        keyed.append((mismatches, j))
+        keyed.append((code_distance(query_code, g), j))
     return [j for _, j in sorted(keyed)]
+
+
+def relevant(labels_a, labels_b) -> bool:
+    """Two items are relevant to each other when their label sets meet."""
+    return bool(set(labels_a) & set(labels_b))
 
 
 def brute_force_map(query_codes, query_labels, gallery_codes,
                     gallery_labels):
-    """(MAP, per-query rankings) for strictly {-1,+1} codes."""
+    """(MAP, per-query rankings) for {-1, 0, +1} codes and label sets."""
     rankings = []
     aps = []
     for q, qlab in zip(query_codes, query_labels):
         order = ranking_for_query(q, gallery_codes)
         rankings.append(order)
-        flags = [1 if set(qlab) & set(gallery_labels[j]) else 0
+        flags = [1 if relevant(qlab, gallery_labels[j]) else 0
                  for j in order]
         aps.append(ap_from_flags(flags))
     return sum(aps) / len(aps), rankings
+
+
+def brute_force_radius_precision(query_codes, query_labels, gallery_codes,
+                                 gallery_labels, radius) -> float:
+    """Mean per-query precision of the gallery items within the radius.
+
+    A query with nothing inside the radius scores 0.
+    """
+    per_query = []
+    for q, qlab in zip(query_codes, query_labels):
+        inside = [j for j, g in enumerate(gallery_codes)
+                  if code_distance(q, g) <= radius]
+        good = sum(1 for j in inside if relevant(qlab, gallery_labels[j]))
+        per_query.append(good / len(inside) if inside else 0.0)
+    return sum(per_query) / len(per_query)
+
+
+def brute_force_top_n(query_codes, query_labels, gallery_codes,
+                      gallery_labels, n_values) -> list[float]:
+    """Per n: mean over queries of the relevant share of the top n."""
+    _, rankings = brute_force_map(query_codes, query_labels, gallery_codes,
+                                  gallery_labels)
+    out = []
+    for n in n_values:
+        shares = [sum(1 for j in order[:n]
+                      if relevant(qlab, gallery_labels[j])) / n
+                  for order, qlab in zip(rankings, query_labels)]
+        out.append(sum(shares) / len(shares))
+    return out
 
 
 def naive_propagate(p, adjacency) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmhash.errors import InvalidCodeError
+from nmhash.merging import score_neurons
 from nmhash.metrics import (
     as_code_matrix,
     average_precision,
@@ -20,7 +21,8 @@ from nmhash.metrics import (
     retrieve,
     sign_pm1,
 )
-from oracles import ap_from_flags, brute_force_map
+from oracles import (ap_from_flags, brute_force_map,
+                     brute_force_radius_precision, brute_force_top_n)
 
 pm1_rows = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=6)
 
@@ -227,6 +229,99 @@ def test_map_all_gallery_identical_and_relevant():
     query = [[1, -1, 1]]
     gallery = [[1, -1, 1]] * 4
     assert mean_average_precision(query, [{2}], gallery, [{2}] * 4) == 1.0
+
+
+def random_ternary_instance(rng, min_bits=1):
+    """Codes over {-1, 0, +1} and label sets of one or two ids."""
+    k = int(rng.integers(min_bits, 7))
+    nq = int(rng.integers(1, 6))
+    ng = int(rng.integers(1, 8))
+    q = rng.integers(-1, 2, (nq, k))
+    g = rng.integers(-1, 2, (ng, k))
+
+    def label_sets(n):
+        return [{int(v) for v in rng.integers(0, 4, int(rng.integers(1, 3)))}
+                for _ in range(n)]
+
+    return q, label_sets(nq), g, label_sets(ng)
+
+
+def test_ternary_retrieval_matches_brute_force():
+    rng = np.random.default_rng(321)
+    for _ in range(100):
+        q, ql, g, gl = random_ternary_instance(rng)
+        expected, rankings = brute_force_map(q, ql, g, gl)
+        res = retrieve(q, ql, g, gl)
+        np.testing.assert_array_equal(res.ranked_indices, rankings)
+        assert mean_average_precision(q, ql, g, gl) == \
+            pytest.approx(expected, abs=1e-12)
+        top_r = int(rng.integers(1, g.shape[0] + 1))
+        cut = retrieve(q, ql, g, gl, top_r=top_r)
+        for i, order in enumerate(rankings):
+            flags = [1 if ql[i] & gl[j] else 0 for j in order[:top_r]]
+            np.testing.assert_array_equal(cut.ranked_relevance[i], flags)
+            assert cut.average_precisions[i] == \
+                pytest.approx(ap_from_flags(flags), abs=1e-12)
+        for radius in (0.0, 0.5, 1.0, 1.5, 2.0, 3.5):
+            assert precision_at_hamming_radius(q, ql, g, gl, radius) == \
+                pytest.approx(brute_force_radius_precision(
+                    q, ql, g, gl, radius), abs=1e-12)
+        n_values = list(range(1, g.shape[0] + 1))
+        assert precision_at_top_n(q, ql, g, gl, n_values) == pytest.approx(
+            brute_force_top_n(q, ql, g, gl, n_values), abs=1e-12)
+
+
+def test_ternary_bit_scores_match_brute_force():
+    rng = np.random.default_rng(654)
+    for _ in range(40):
+        q, ql, g, gl = random_ternary_instance(rng, min_bits=2)
+        p = score_neurons(g, gl, q, ql)
+        for bit in range(q.shape[1]):
+            keep = [c for c in range(q.shape[1]) if c != bit]
+            expected, _ = brute_force_map(q[:, keep], ql, g[:, keep], gl)
+            assert p[bit] == pytest.approx(expected, abs=1e-12)
+
+
+# --- pairing refusals --------------------------------------------------------
+
+_Q = [[1, -1, 0], [1, 1, 1]]
+_QL = [{0}, {1, 2}]
+_G = [[1, 1, -1], [-1, 0, 1], [1, 1, 1]]
+_GL = [{0}, {2}, {1}]
+
+# every query-gallery entry point, called as (q, q_labels, g, g_labels)
+_ENTRY_POINTS = {
+    "retrieve": retrieve,
+    "mean_average_precision": mean_average_precision,
+    "precision_at_hamming_radius": precision_at_hamming_radius,
+    "pr_curve": pr_curve,
+    "precision_at_top_n":
+        lambda q, ql, g, gl: precision_at_top_n(q, ql, g, gl, [1]),
+    "score_neurons": lambda q, ql, g, gl: score_neurons(g, gl, q, ql),
+    "pairwise_hamming": lambda q, ql, g, gl: pairwise_hamming(q, g),
+    "hamming_distance": lambda q, ql, g, gl: hamming_distance(q[0], g[0]),
+}
+_UNLABELLED = ("pairwise_hamming", "hamming_distance")
+
+_BAD_INPUTS = {
+    "code length": ((_Q, _QL, [row[:2] for row in _G], _GL),
+                    ValueError, "code length mismatch"),
+    "query label count": ((_Q, _QL[:1], _G, _GL),
+                          ValueError, "label counts do not match"),
+    "gallery label count": ((_Q, _QL, _G, _GL + [{0}]),
+                            ValueError, "label counts do not match"),
+    "non-code value": (([[1, -1, 0.5], [1, 1, 1]], _QL, _G, _GL),
+                       InvalidCodeError, "code entries"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in _ENTRY_POINTS for case in _BAD_INPUTS
+    if not (entry in _UNLABELLED and "label" in case)])
+def test_entry_points_refuse_unpaired_inputs(entry, case):
+    args, error, message = _BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        _ENTRY_POINTS[entry](*args)
 
 
 # --- precision within a radius ---------------------------------------------
