@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import _ap_per_query, as_code_matrix, relevance_matrix, sign_pm1
+from .errors import ConfigError
+from .metrics import (_ap_per_query, _distance, _pairing, _ranked_relevance,
+                      relevance_matrix, sign_pm1)
 
 
 def _sorted_groups(groups):
@@ -76,30 +78,21 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
 
     p_k is the MAP of the queries against the gallery with column k deleted
     from both code matrices.  A bit whose deletion leaves MAP high is
-    redundant.  Needs at least 2 columns.
+    redundant.  Needs at least 2 columns (ConfigError otherwise).
     """
-    g = as_code_matrix(gallery_codes)
-    q = as_code_matrix(query_codes)
-    if g.shape[1] != q.shape[1]:
-        raise ValueError(
-            f"code length mismatch: {g.shape[1]} vs {q.shape[1]}"
-        )
-    k = g.shape[1]
-    if k < 2:
-        raise ValueError("scoring needs at least 2 bits")
     rel = relevance_matrix(query_labels, gallery_labels)
-    if rel.shape != (q.shape[0], g.shape[0]):
-        raise ValueError("label counts do not match code matrix rows")
+    q, g = _pairing(query_codes, gallery_codes, rel)
+    k = q.shape[1]
+    if k < 2:
+        raise ConfigError("scoring needs at least 2 effective bits")
     # dot products of {-1,0,1} codes are exact, so removing one column by
     # subtracting its outer product reproduces the direct computation
     # bit for bit, ranking ties included.
     dots = q @ g.T
     scores = np.empty(k)
     for bit in range(k):
-        dots_k = dots - np.outer(q[:, bit], g[:, bit])
-        dist = ((k - 1) - dots_k) / 2.0
-        order = np.argsort(dist, axis=1, kind="stable")
-        rel_ranked = np.take_along_axis(rel, order, axis=1)
+        dist = _distance(dots - np.outer(q[:, bit], g[:, bit]), k - 1)
+        _, rel_ranked = _ranked_relevance(dist, rel)
         scores[bit] = _ap_per_query(rel_ranked).mean()
     return scores
 

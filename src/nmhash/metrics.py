@@ -8,7 +8,10 @@ sorts by the inner-product form of the Hamming distance,
 
 which is exact in float64 for this alphabet (a 0-valued bit contributes 1/2
 against either sign).  Ties are broken by ascending gallery index, so all
-metrics are deterministic functions of their inputs.
+metrics are deterministic functions of their inputs.  Each part of this
+comparison rule is written once, and every entry point here and
+merging.score_neurons use it: _pairing (code alphabet, one code length,
+one label set per row), _distance, _ranked_relevance and _ap_per_query.
 
 Labels are multi-label: each item carries a non-empty set of integer label
 ids, and two items count as relevant to each other when the sets intersect.
@@ -43,28 +46,38 @@ def as_code_matrix(codes) -> np.ndarray:
     return arr
 
 
-def hamming_distance(a, b) -> float:
-    """Distance between two code vectors of equal length K: (K - a.b)/2."""
-    va = np.asarray(a, dtype=np.float64).ravel()
-    vb = np.asarray(b, dtype=np.float64).ravel()
-    if va.shape != vb.shape:
-        raise ValueError(
-            f"code length mismatch: {va.shape[0]} vs {vb.shape[0]}"
-        )
-    as_code_matrix(va)
-    as_code_matrix(vb)
-    return float((va.size - va @ vb) / 2.0)
+def _pairing(query_codes, gallery_codes, rel=None):
+    """(q, g) code matrices of one code length, checked against rel.
 
-
-def pairwise_hamming(query_codes, gallery_codes) -> np.ndarray:
-    """Distance matrix (n_query, n_gallery) between two code matrices."""
+    rel, when given, is the relevance matrix built from the two label
+    sequences; it must hold one row per query and one column per gallery
+    item.
+    """
     q = as_code_matrix(query_codes)
     g = as_code_matrix(gallery_codes)
     if q.shape[1] != g.shape[1]:
         raise ValueError(
             f"code length mismatch: {q.shape[1]} vs {g.shape[1]}"
         )
-    return (q.shape[1] - q @ g.T) / 2.0
+    if rel is not None and rel.shape != (q.shape[0], g.shape[0]):
+        raise ValueError("label counts do not match code matrix rows")
+    return q, g
+
+
+def _distance(dots, k):
+    """Hamming distances of K-bit codes from their inner products."""
+    return (k - dots) / 2.0
+
+
+def pairwise_hamming(query_codes, gallery_codes) -> np.ndarray:
+    """Distance matrix (n_query, n_gallery) between two code matrices."""
+    q, g = _pairing(query_codes, gallery_codes)
+    return _distance(q @ g.T, q.shape[1])
+
+
+def hamming_distance(a, b) -> float:
+    """Distance between two code vectors of equal length K: (K - a.b)/2."""
+    return float(pairwise_hamming(np.ravel(a), np.ravel(b))[0, 0])
 
 
 def _label_sets(labels) -> list[frozenset]:
@@ -104,6 +117,13 @@ def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
     return (lq @ lg.T) > 0.0
 
 
+def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
+    """AP of each row of ranked 0/1 flags; a row with no hit scores 0."""
+    flags = rel_ranked.astype(np.float64)
+    prec = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
+    return (prec * flags).sum(axis=1) / np.maximum(flags.sum(axis=1), 1.0)
+
+
 def average_precision(relevance) -> float:
     """AP of one ranked list of 0/1 relevance flags.
 
@@ -115,11 +135,7 @@ def average_precision(relevance) -> float:
         raise ValueError("empty relevance list")
     if not np.isin(rel, (0.0, 1.0)).all():
         raise ValueError("relevance flags must be 0 or 1")
-    n_rel = rel.sum()
-    if n_rel == 0:
-        return 0.0
-    prec = np.cumsum(rel) / np.arange(1, rel.size + 1)
-    return float((prec * rel).sum() / n_rel)
+    return float(_ap_per_query(rel[np.newaxis, :])[0])
 
 
 @dataclass
@@ -136,23 +152,11 @@ class RetrievalResult:
     average_precisions: np.ndarray
 
 
-def _ranked_relevance(q, g, rel):
-    dist = (q.shape[1] - q @ g.T) / 2.0
+def _ranked_relevance(dist, rel):
+    """Per query: gallery order by (distance, gallery index), and its flags."""
     # stable sort keeps ascending gallery index among equal distances
     order = np.argsort(dist, axis=1, kind="stable")
     return order, np.take_along_axis(rel, order, axis=1)
-
-
-def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
-    n = rel_ranked.shape[1]
-    flags = rel_ranked.astype(np.float64)
-    cum = np.cumsum(flags, axis=1)
-    prec = cum / np.arange(1, n + 1)
-    n_rel = flags.sum(axis=1)
-    totals = (prec * flags).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ap = np.where(n_rel > 0, totals / np.maximum(n_rel, 1.0), 0.0)
-    return ap
 
 
 def retrieve(query_codes, query_labels, gallery_codes, gallery_labels,
@@ -162,21 +166,13 @@ def retrieve(query_codes, query_labels, gallery_codes, gallery_labels,
     With top_r set, each ranking is cut to its first top_r entries and AP
     is computed on the truncated list alone.
     """
-    q = as_code_matrix(query_codes)
-    g = as_code_matrix(gallery_codes)
-    if q.shape[1] != g.shape[1]:
-        raise ValueError(
-            f"code length mismatch: {q.shape[1]} vs {g.shape[1]}"
-        )
     rel = relevance_matrix(query_labels, gallery_labels)
-    if rel.shape != (q.shape[0], g.shape[0]):
-        raise ValueError("label counts do not match code matrix rows")
-    if top_r is not None:
-        if not 1 <= top_r <= g.shape[0]:
-            raise ValueError(
-                f"top_r must be in [1, {g.shape[0]}], got {top_r}"
-            )
-    order, rel_ranked = _ranked_relevance(q, g, rel)
+    q, g = _pairing(query_codes, gallery_codes, rel)
+    if top_r is not None and not 1 <= top_r <= g.shape[0]:
+        raise ValueError(
+            f"top_r must be in [1, {g.shape[0]}], got {top_r}"
+        )
+    order, rel_ranked = _ranked_relevance(_distance(q @ g.T, q.shape[1]), rel)
     if top_r is not None:
         order = order[:, :top_r]
         rel_ranked = rel_ranked[:, :top_r]
@@ -200,15 +196,13 @@ def precision_at_hamming_radius(query_codes, query_labels, gallery_codes,
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    dist = pairwise_hamming(query_codes, gallery_codes)
     rel = relevance_matrix(query_labels, gallery_labels)
-    if rel.shape != dist.shape:
-        raise ValueError("label counts do not match code matrix rows")
-    inside = dist <= radius
+    q, g = _pairing(query_codes, gallery_codes, rel)
+    inside = _distance(q @ g.T, q.shape[1]) <= radius
     n_inside = inside.sum(axis=1).astype(np.float64)
     n_good = (inside & rel).sum(axis=1).astype(np.float64)
-    per_query = np.where(n_inside > 0, n_good / np.maximum(n_inside, 1.0), 0.0)
-    return float(per_query.mean())
+    # nothing inside means nothing relevant inside either: 0 / 1
+    return float((n_good / np.maximum(n_inside, 1.0)).mean())
 
 
 class PrPoint(NamedTuple):
@@ -225,11 +219,10 @@ def pr_curve(query_codes, query_labels, gallery_codes,
     distance <= t, pooled over all queries.  Precision is 0 when nothing is
     retrieved; recall is 0 when no relevant pair exists at all.
     """
-    dist = pairwise_hamming(query_codes, gallery_codes)
     rel = relevance_matrix(query_labels, gallery_labels)
-    if rel.shape != dist.shape:
-        raise ValueError("label counts do not match code matrix rows")
-    k = as_code_matrix(query_codes).shape[1]
+    q, g = _pairing(query_codes, gallery_codes, rel)
+    k = q.shape[1]
+    dist = _distance(q @ g.T, k)
     n_rel_total = float(rel.sum())
     points = []
     for t in np.arange(0.0, k + 0.5, 0.5):
@@ -245,21 +238,13 @@ def pr_curve(query_codes, query_labels, gallery_codes,
 def precision_at_top_n(query_codes, query_labels, gallery_codes,
                        gallery_labels, n_values: Sequence[int]) -> list[float]:
     """Mean fraction of relevant items among the top n ranked, per n."""
-    q = as_code_matrix(query_codes)
-    g = as_code_matrix(gallery_codes)
-    if q.shape[1] != g.shape[1]:
-        raise ValueError(
-            f"code length mismatch: {q.shape[1]} vs {g.shape[1]}"
-        )
     rel = relevance_matrix(query_labels, gallery_labels)
-    if rel.shape != (q.shape[0], g.shape[0]):
-        raise ValueError("label counts do not match code matrix rows")
+    q, g = _pairing(query_codes, gallery_codes, rel)
     for n in n_values:
         if not 1 <= int(n) <= g.shape[0]:
             raise ValueError(
                 f"top-n value {n} outside gallery size {g.shape[0]}"
             )
-    _, rel_ranked = _ranked_relevance(q, g, rel)
-    flags = rel_ranked.astype(np.float64)
-    cum = np.cumsum(flags, axis=1)
+    _, rel_ranked = _ranked_relevance(_distance(q @ g.T, q.shape[1]), rel)
+    cum = np.cumsum(rel_ranked.astype(np.float64), axis=1)
     return [float((cum[:, int(n) - 1] / float(n)).mean()) for n in n_values]

@@ -23,6 +23,7 @@ report as an uninterrupted run.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import json
 import math
@@ -305,22 +306,29 @@ def load_checkpoint(path) -> Checkpoint:
             body = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint body: {exc}") from None
+    if not isinstance(body, dict):
+        raise CheckpointError("corrupt checkpoint body: not a JSON object")
     version = body.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} "
             f"(this build reads {CHECKPOINT_VERSION})"
         )
-    cfg = ExperimentConfig.from_dict(body["config"])
-    net_d = body["net"]
-    net = HashNet(tuple(net_d["layer_dims"]),
-                  [_decode_array(w) for w in net_d["weights"]],
-                  [_decode_array(b) for b in net_d["biases"]],
-                  net_d["hidden_activation"])
-    graph = MergeGraph.from_partition(body["graph"]["n_nodes"],
-                                      body["graph"]["groups"])
-    return Checkpoint(cfg, net, graph, body["counters"], body["rng_state"],
-                      body["progress"], body["dataset_sha256"])
+    try:
+        cfg = ExperimentConfig.from_dict(body["config"])
+        net_d = body["net"]
+        net = HashNet(tuple(net_d["layer_dims"]),
+                      [_decode_array(w) for w in net_d["weights"]],
+                      [_decode_array(b) for b in net_d["biases"]],
+                      net_d["hidden_activation"])
+        graph = MergeGraph.from_partition(body["graph"]["n_nodes"],
+                                          body["graph"]["groups"])
+        return Checkpoint(cfg, net, graph, body["counters"],
+                          body["rng_state"], body["progress"],
+                          body["dataset_sha256"])
+    except KeyError as exc:
+        raise CheckpointError(
+            f"checkpoint is missing its {exc.args[0]!r} section") from None
 
 
 def _singletons(n: int) -> MergeGraph:
@@ -331,11 +339,9 @@ def leave_one_out(query_codes, query_labels, gallery_codes,
                   gallery_labels) -> tuple[np.ndarray, float]:
     """Per-bit MAP with that bit deleted, and the spread of those values.
 
-    Scores query codes against gallery codes; needs at least 2 effective
-    bits.
+    Scores query codes against gallery codes; score_neurons refuses fewer
+    than 2 effective bits with ConfigError.
     """
-    if np.shape(query_codes)[1] < 2:
-        raise ConfigError("leave-one-out needs at least 2 effective bits")
     p = score_neurons(gallery_codes, gallery_labels, query_codes, query_labels)
     return p, float(p.std())
 
@@ -414,8 +420,9 @@ class TrainingRun:
         progress = {
             "base_loss_per_epoch": [float(v) for v in self.base_loss_per_epoch],
             "base_map": self.base_map,
-            "rounds_done": self.rounds_done,
-            "current_round": self.current_round,
+            # copies: the run keeps appending to its round records
+            "rounds_done": copy.deepcopy(self.rounds_done),
+            "current_round": copy.deepcopy(self.current_round),
             "bit_trace": [[int(b), float(v)] for b, v in self.bit_trace],
             "round_adjacency": _maybe_encode(self.round_adjacency),
             "score_sum": _maybe_encode(self.score_sum),
@@ -453,9 +460,8 @@ class TrainingRun:
         p = ckpt.progress
         self.base_loss_per_epoch = list(p["base_loss_per_epoch"])
         self.base_map = p["base_map"]
-        self.rounds_done = [dict(r) for r in p["rounds_done"]]
-        self.current_round = None if p["current_round"] is None \
-            else dict(p["current_round"])
+        self.rounds_done = copy.deepcopy(p["rounds_done"])
+        self.current_round = copy.deepcopy(p["current_round"])
         self.bit_trace = [[int(b), float(v)] for b, v in p["bit_trace"]]
         self.round_adjacency = _maybe_decode(p["round_adjacency"])
         self.score_sum = _maybe_decode(p["score_sum"])

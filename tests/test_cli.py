@@ -196,6 +196,15 @@ def test_evaluate_rejects_foreign_checkpoint(trained, capsys):
     _err_line(capsys)
 
 
+def test_evaluate_rejects_checkpoint_missing_a_section(data_file, tmp_path,
+                                                     capsys):
+    ckpt = tmp_path / "bare.ckpt"
+    ckpt.write_text('HMRG1\n{"format_version": 2}\n')
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(data_file)]) == 1
+    assert "'config'" in _err_line(capsys)
+
+
 def test_evaluate_rejects_checkpoint_of_another_dataset(trained, tmp_path,
                                                         capsys):
     # same shape as the training data, another seed

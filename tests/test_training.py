@@ -320,6 +320,27 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(v1)
 
 
+def test_checkpoint_missing_section_is_refused(tmp_path, dataset):
+    bare = tmp_path / "bare"
+    bare.write_text('HMRG1\n{"format_version": 2}\n')
+    with pytest.raises(CheckpointError, match="'config'"):
+        load_checkpoint(bare)
+    not_an_object = tmp_path / "list_body"
+    not_an_object.write_text("HMRG1\n[2]\n")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(not_an_object)
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(TrainingRun(small_config(), dataset).to_checkpoint(), path)
+    magic, body = path.read_text().split("\n", 1)
+    for section in ("graph", "dataset_sha256"):
+        partial = json.loads(body)
+        del partial[section]
+        cut = tmp_path / f"no_{section}"
+        cut.write_text(magic + "\n" + json.dumps(partial) + "\n")
+        with pytest.raises(CheckpointError, match=f"'{section}'"):
+            load_checkpoint(cut)
+
+
 def test_checkpoint_graph_section_is_the_partition(tmp_path, dataset):
     run = TrainingRun(small_config(), dataset).run()
     path = tmp_path / "done.ckpt"
@@ -373,6 +394,19 @@ def test_resume_in_two_hops_matches(tmp_path, dataset):
     save_checkpoint(hop2.to_checkpoint(), tmp_path / "b.ckpt")
     final = resume_training(load_checkpoint(tmp_path / "b.ckpt"), dataset)
     assert final.report().to_json() == expected
+
+
+def test_in_memory_checkpoint_is_a_snapshot(dataset):
+    # the checkpoint is taken mid-active; the run then finishes its round,
+    # which must change neither the checkpoint nor a run resumed from it
+    expected = TrainingRun(small_config(), dataset).run().report().to_json()
+    original = TrainingRun(small_config(), dataset).run(stop_after=3)
+    ckpt = original.to_checkpoint()
+    assert original.run().report().to_json() == expected
+    first = resume_training(ckpt, dataset)
+    second = resume_training(ckpt, dataset)
+    assert first.report().to_json() == expected
+    assert second.report().to_json() == expected
 
 
 def test_score_conservation_failure_names_round_and_epoch(dataset,
