@@ -11,6 +11,7 @@ from nmhash.errors import CheckpointError, ConfigError
 from nmhash.network import SgdConfig
 from nmhash.training import (
     CHECKPOINT_MAGIC,
+    VARIANTS,
     ExperimentConfig,
     RunReport,
     TrainingRun,
@@ -382,6 +383,23 @@ def test_resume_matches_uninterrupted_run(tmp_path, dataset, stop):
     assert resumed.report().to_json() == expected
     for wa, wb in zip(resumed.net.weights, straight.net.weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_resume_at_every_epoch_matches_for_each_variant(tmp_path, dataset,
+                                                         variant):
+    # every stage boundary of every schedule, including the finished run;
+    # select thins its scoring batches so the skipped batches are covered
+    overrides = {"baseline": dict(b_in=6), "select": dict(score_every=2)}
+    cfg = small_config(variant=variant, **overrides.get(variant, {}))
+    straight = TrainingRun(cfg, dataset).run()
+    expected = straight.report().to_json()
+    for stop in range(straight.global_epoch + 1):
+        first = TrainingRun(cfg, dataset).run(stop_after=stop)
+        path = tmp_path / f"{variant}{stop}.ckpt"
+        save_checkpoint(first.to_checkpoint(), path)
+        resumed = resume_training(load_checkpoint(path), dataset)
+        assert resumed.report().to_json() == expected, f"stop={stop}"
 
 
 def test_resume_in_two_hops_matches(tmp_path, dataset):
