@@ -380,8 +380,6 @@ class TrainingRun:
 
         width = cfg.encoder_width()
         self.width = width
-        self.fc_epochs = cfg.planned_merge_rounds() * cfg.n1_epochs \
-            if cfg.variant == VARIANT_FCLAYER else 0
 
         if _restore is None:
             self.net = init_network(
@@ -487,75 +485,92 @@ class TrainingRun:
     def done(self) -> bool:
         return self.stage == _STAGE_DONE
 
-    def _stage_len(self) -> int:
-        return {_STAGE_BASE: self.cfg.base_epochs,
-                _STAGE_ACTIVE: self.cfg.n0_epochs,
-                _STAGE_FROZEN: self.cfg.n1_epochs,
-                _STAGE_SCORE: self.cfg.n0_epochs,
-                _STAGE_FC: self.fc_epochs}[self.stage]
+    def _stages(self) -> dict:
+        """stage -> (its epoch count, its per-batch step, its completion step).
+
+        A step takes (batch index, batch rows) and returns its loss terms,
+        named after the per-epoch lists they are averaged into, or None
+        for a batch it skips.
+        """
+        cfg = self.cfg
+        return {
+            _STAGE_BASE: (cfg.base_epochs, self._base_step,
+                          self._complete_base),
+            _STAGE_ACTIVE: (cfg.n0_epochs, self._active_step,
+                            self._truncate_round),
+            _STAGE_FROZEN: (cfg.n1_epochs, self._frozen_step,
+                            self._complete_frozen),
+            _STAGE_SCORE: (cfg.n0_epochs, self._score_step,
+                           self._apply_selection),
+            _STAGE_FC: (cfg.planned_merge_rounds() * cfg.n1_epochs,
+                        self._fc_step, self._collapse_fc_head),
+        }
 
     def run(self, stop_after: int | None = None) -> "TrainingRun":
         while not self.done:
             if stop_after is not None and self.global_epoch >= stop_after:
                 break
-            self._run_one_epoch()
+            self._epoch()
             self.global_epoch += 1
             self.epoch_in_stage += 1
             self._settle()
         return self
 
     def _settle(self):
-        while self.stage != _STAGE_DONE \
-                and self.epoch_in_stage >= self._stage_len():
-            self._complete_stage()
+        while not self.done:
+            epochs, _, complete = self._stages()[self.stage]
+            if self.epoch_in_stage < epochs:
+                break
+            complete()
 
-    def _complete_stage(self):
+    def _epoch(self):
+        """One pass of the stage's step over the shuffled train split."""
+        _, step, _ = self._stages()[self.stage]
+        # base losses are recorded outside any merge round
+        log = self.current_round or {
+            "hash_loss_per_epoch": self.base_loss_per_epoch}
+        sums, batches = {}, 0
+        order = self.rng.permutation(self.train_idx.size)
+        bs = self.cfg.batch_size
+        for b_index, start in enumerate(range(0, order.size, bs)):
+            terms = step(b_index, self.train_idx[order[start:start + bs]])
+            if terms is None:
+                continue
+            for name, value in terms.items():
+                sums[name] = sums.get(name, 0.0) + value
+            batches += 1
+        for name, total in sums.items():
+            log[name].append(total / batches)
+
+    def _complete_base(self):
         cfg = self.cfg
-        if self.stage == _STAGE_BASE:
-            self.base_map = self._map_eval()
-            self.bit_trace.append([self.graph.n_groups, self.base_map])
-            if cfg.variant in (VARIANT_FULL, VARIANT_RANDOM) \
-                    and self.graph.n_groups > cfg.b_out:
-                self._start_merge_round()
-            elif cfg.variant == VARIANT_SELECT:
-                self.score_sum = np.zeros(self.width)
-                self.score_batches = 0
-                self._enter(_STAGE_SCORE)
-            elif cfg.variant == VARIANT_FCLAYER and self.fc_epochs > 0:
-                self._enter(_STAGE_FC)
-            elif cfg.variant == VARIANT_FCLAYER:
-                self._collapse_fc_head()
-                self._finalize()
-            else:
-                self._finalize()
-        elif self.stage == _STAGE_ACTIVE:
-            self._truncate_round()
-            self._enter(_STAGE_FROZEN)
-        elif self.stage == _STAGE_FROZEN:
-            round_map = self._map_eval()
-            self.current_round["map"] = round_map
-            self.bit_trace.append([self.graph.n_groups, round_map])
-            self.rounds_done.append(self.current_round)
-            self.current_round = None
-            if self.graph.n_groups > cfg.b_out:
-                self._start_merge_round()
-            else:
-                self._finalize()
-        elif self.stage == _STAGE_SCORE:
-            self._apply_selection()
-            self._finalize()
-        elif self.stage == _STAGE_FC:
-            self._collapse_fc_head()
-            self._finalize()
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"cannot complete stage {self.stage!r}")
+        self.base_map = self._map_eval()
+        self.bit_trace.append([self.graph.n_groups, self.base_map])
+        if cfg.variant in (VARIANT_FULL, VARIANT_RANDOM) \
+                and self.graph.n_groups > cfg.b_out:
+            self._start_merge_round()
+        elif cfg.variant == VARIANT_SELECT:
+            self.score_sum = np.zeros(self.width)
+            self.score_batches = 0
+            self._enter(_STAGE_SCORE)
+        elif cfg.variant == VARIANT_FCLAYER:
+            self._enter(_STAGE_FC)
+        else:
+            self._enter(_STAGE_DONE)
+
+    def _complete_frozen(self):
+        round_map = self._map_eval()
+        self.current_round["map"] = round_map
+        self.bit_trace.append([self.graph.n_groups, round_map])
+        self.rounds_done.append(self.current_round)
+        self.current_round = None
+        if self.graph.n_groups > self.cfg.b_out:
+            self._start_merge_round()
+        else:
+            self._enter(_STAGE_DONE)
 
     def _enter(self, stage: str):
         self.stage = stage
-        self.epoch_in_stage = 0
-
-    def _finalize(self):
-        self.stage = _STAGE_DONE
         self.epoch_in_stage = 0
 
     def _start_merge_round(self):
@@ -575,10 +590,12 @@ class TrainingRun:
             adj[iu] = self.rng.random(iu[0].size)
             self.round_adjacency = adj + adj.T
             self._truncate_round()
-            self._enter(_STAGE_FROZEN)
 
     def _truncate_round(self):
-        """Merge via the round adjacency; m shrinks if it would overshoot b_out."""
+        """Merge via the round adjacency, then train the merged code frozen.
+
+        m shrinks if it would overshoot b_out.
+        """
         k = self.graph.n_groups
         need = k - self.cfg.b_out
         m_used = min(self.cfg.m, k * (k - 1) // 2)
@@ -593,6 +610,7 @@ class TrainingRun:
         self.current_round["bits_after"] = self.graph.n_groups
         self.round_adjacency = None
         self._val_codes_cache = None
+        self._enter(_STAGE_FROZEN)
 
     def _apply_selection(self):
         if self.score_batches == 0:
@@ -609,6 +627,7 @@ class TrainingRun:
         self.graph = _singletons(self.width)
         self.bit_trace.append([self.width, self._map_eval()])
         self.score_sum = None
+        self._enter(_STAGE_DONE)
 
     def _collapse_fc_head(self):
         """Two stacked affines with no nonlinearity fold into one."""
@@ -619,126 +638,91 @@ class TrainingRun:
         self.graph = _singletons(self.width)
         self.fc_w = self.fc_b = None
         self.bit_trace.append([self.width, self._map_eval()])
+        self._enter(_STAGE_DONE)
 
-    # -- epochs ----------------------------------------------------------
+    # -- per-batch steps -------------------------------------------------
 
-    def _run_one_epoch(self):
-        if self.stage == _STAGE_BASE:
-            rate = self.cfg.dropout_rate \
-                if self.cfg.variant == VARIANT_DROPOUT else 0.0
-            self._epoch_plain(rate)
-        elif self.stage == _STAGE_ACTIVE:
-            self._epoch_active()
-        elif self.stage == _STAGE_FROZEN:
-            self._epoch_frozen()
-        elif self.stage == _STAGE_SCORE:
-            self._epoch_score()
-        elif self.stage == _STAGE_FC:
-            self._epoch_fc()
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"cannot run epoch in stage {self.stage!r}")
-
-    def _batches(self):
-        order = self.rng.permutation(self.train_idx.size)
-        bs = self.cfg.batch_size
-        for start in range(0, order.size, bs):
-            yield self.train_idx[order[start:start + bs]]
-
-    def _batch_similarity(self, rows):
+    def _batch_similarity(self, rows) -> np.ndarray:
         labels = [self.labels[i] for i in rows]
-        return labels, build_similarity(labels, labels)
+        return build_similarity(labels, labels)
 
-    def _epoch_plain(self, dropout_rate: float):
+    def _base_step(self, b_index, rows):
         cfg = self.cfg
-        total, batches = 0.0, 0
-        for rows in self._batches():
-            u, cache = forward(self.net, self.features[rows],
-                               dropout_rate=dropout_rate,
-                               rng=self.rng if dropout_rate > 0 else None)
-            _, sim = self._batch_similarity(rows)
-            k = u.shape[1]
-            total += relaxed_hash_loss(u, sim, k, cfg.eta).total
-            du = relaxed_hash_loss_grad(u, sim, k, cfg.eta)
-            sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
-            batches += 1
-        self.base_loss_per_epoch.append(total / batches)
+        rate = cfg.dropout_rate if cfg.variant == VARIANT_DROPOUT else 0.0
+        u, cache = forward(self.net, self.features[rows], dropout_rate=rate,
+                           rng=self.rng if rate > 0 else None)
+        sim = self._batch_similarity(rows)
+        k = u.shape[1]
+        loss = relaxed_hash_loss(u, sim, k, cfg.eta).total
+        du = relaxed_hash_loss_grad(u, sim, k, cfg.eta)
+        sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
+        return {"hash_loss_per_epoch": loss}
 
-    def _val_codes(self) -> np.ndarray:
-        # backbone is frozen while scoring, so cache per merge round
-        if self._val_codes_cache is None:
-            u, _ = forward(self.net, self.features[self.val_idx])
-            self._val_codes_cache = eval_forward(self.graph, u)
-        return self._val_codes_cache
-
-    def _epoch_active(self):
-        cfg = self.cfg
-        val_codes = self._val_codes()
-        val_labels = [self.labels[i] for i in self.val_idx]
-        loss_sum, scored = 0.0, 0
-        for b_index, rows in enumerate(self._batches()):
-            if b_index % cfg.score_every != 0:
-                continue
-            codes = self._codes_for(rows)
-            batch_labels = [self.labels[i] for i in rows]
-            p = score_neurons(codes, batch_labels, val_codes, val_labels)
-            pp = propagate_scores(p, self.round_adjacency)
-            if not abs(pp.sum() - p.sum()) < 1e-9 * max(1.0, abs(p.sum())):
-                raise ValueError(
-                    f"active round {self.round_index}, epoch "
-                    f"{self.epoch_in_stage}: score diffusion changed the "
-                    f"score sum from {p.sum()!r} to {pp.sum()!r}"
-                )
-            loss_sum += active_loss(pp)
-            self.round_adjacency = apply_active_step(
-                self.round_adjacency, active_grad(p, pp), cfg.nm_learning_rate)
-            scored += 1
-        self.current_round["active_loss_per_epoch"].append(loss_sum / scored)
-
-    def _epoch_score(self):
-        cfg = self.cfg
-        val_codes = self._val_codes()
-        val_labels = [self.labels[i] for i in self.val_idx]
-        for b_index, rows in enumerate(self._batches()):
-            if b_index % cfg.score_every != 0:
-                continue
-            codes = self._codes_for(rows)
-            batch_labels = [self.labels[i] for i in rows]
-            self.score_sum += score_neurons(codes, batch_labels,
-                                            val_codes, val_labels)
-            self.score_batches += 1
-
-    def _epoch_frozen(self):
+    def _frozen_step(self, b_index, rows):
         cfg = self.cfg
         k_eff = self.graph.n_groups
-        hash_total, frozen_total, batches = 0.0, 0.0, 0
-        for rows in self._batches():
-            u, cache = forward(self.net, self.features[rows])
-            choices = draw_choices(self.graph, self.rng)
-            merged = apply_choices(self.graph, u, choices)
-            _, sim = self._batch_similarity(rows)
-            hash_total += relaxed_hash_loss(merged, sim, k_eff, cfg.eta).total
-            frozen_total += frozen_loss(self.graph, u, choices)
-            d_merged = relaxed_hash_loss_grad(merged, sim, k_eff, cfg.eta)
-            du = frozen_grads(self.graph, u, choices, d_merged)
-            sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
-            batches += 1
-        self.current_round["hash_loss_per_epoch"].append(hash_total / batches)
-        self.current_round["frozen_loss_per_epoch"].append(frozen_total / batches)
+        u, cache = forward(self.net, self.features[rows])
+        choices = draw_choices(self.graph, self.rng)
+        merged = apply_choices(self.graph, u, choices)
+        sim = self._batch_similarity(rows)
+        terms = {"hash_loss_per_epoch":
+                 relaxed_hash_loss(merged, sim, k_eff, cfg.eta).total,
+                 "frozen_loss_per_epoch": frozen_loss(self.graph, u, choices)}
+        d_merged = relaxed_hash_loss_grad(merged, sim, k_eff, cfg.eta)
+        du = frozen_grads(self.graph, u, choices, d_merged)
+        sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
+        return terms
 
-    def _epoch_fc(self):
+    def _fc_step(self, b_index, rows):
         cfg = self.cfg
         sgd = cfg.backbone_sgd
-        for rows in self._batches():
-            u1, cache = forward(self.net, self.features[rows])
-            u2 = u1 @ self.fc_w + self.fc_b
-            _, sim = self._batch_similarity(rows)
-            d2 = relaxed_hash_loss_grad(u2, sim, cfg.b_out, cfg.eta)
-            dw_fc = u1.T @ d2
-            db_fc = d2.sum(axis=0)
-            d1 = d2 @ self.fc_w.T
-            sgd_step(self.net, backward(self.net, cache, d1), sgd)
-            self.fc_w -= sgd.learning_rate * (dw_fc + sgd.weight_decay * self.fc_w)
-            self.fc_b -= sgd.learning_rate * (db_fc + sgd.weight_decay * self.fc_b)
+        u1, cache = forward(self.net, self.features[rows])
+        u2 = u1 @ self.fc_w + self.fc_b
+        d2 = relaxed_hash_loss_grad(u2, self._batch_similarity(rows),
+                                    cfg.b_out, cfg.eta)
+        dw_fc = u1.T @ d2
+        db_fc = d2.sum(axis=0)
+        d1 = d2 @ self.fc_w.T
+        sgd_step(self.net, backward(self.net, cache, d1), sgd)
+        self.fc_w -= sgd.learning_rate * (dw_fc + sgd.weight_decay * self.fc_w)
+        self.fc_b -= sgd.learning_rate * (db_fc + sgd.weight_decay * self.fc_b)
+        return {}
+
+    def _bit_scores(self, b_index, rows) -> np.ndarray | None:
+        """Leave-one-bit-out MAP of the batch's codes against the validation
+        split, or None for a batch that score_every skips."""
+        if b_index % self.cfg.score_every != 0:
+            return None
+        # backbone is frozen while scoring, so cache per merge round
+        if self._val_codes_cache is None:
+            self._val_codes_cache = self.codes("validation")
+        return score_neurons(self._codes_for(rows),
+                             [self.labels[i] for i in rows],
+                             *self._val_codes_cache)
+
+    def _active_step(self, b_index, rows):
+        p = self._bit_scores(b_index, rows)
+        if p is None:
+            return None
+        pp = propagate_scores(p, self.round_adjacency)
+        if not abs(pp.sum() - p.sum()) < 1e-9 * max(1.0, abs(p.sum())):
+            raise ValueError(
+                f"active round {self.round_index}, epoch "
+                f"{self.epoch_in_stage}: score diffusion changed the "
+                f"score sum from {p.sum()!r} to {pp.sum()!r}"
+            )
+        loss = active_loss(pp)
+        self.round_adjacency = apply_active_step(
+            self.round_adjacency, active_grad(p, pp), self.cfg.nm_learning_rate)
+        return {"active_loss_per_epoch": loss}
+
+    def _score_step(self, b_index, rows):
+        p = self._bit_scores(b_index, rows)
+        if p is None:
+            return None
+        self.score_sum += p
+        self.score_batches += 1
+        return {}
 
     # -- evaluation ------------------------------------------------------
 
@@ -756,11 +740,8 @@ class TrainingRun:
         return self._codes_for(idx), [self.labels[i] for i in idx]
 
     def _map_eval(self) -> float:
-        q = self._codes_for(self.query_idx)
-        g = self._codes_for(self.train_idx)
-        return mean_average_precision(
-            q, [self.labels[i] for i in self.query_idx],
-            g, [self.labels[i] for i in self.train_idx])
+        return mean_average_precision(*self.codes("query"),
+                                      *self.codes("gallery"))
 
     def report(self) -> RunReport:
         if not self.done:
