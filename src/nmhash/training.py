@@ -27,7 +27,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -60,6 +60,13 @@ _STAGE_FROZEN = "frozen"
 _STAGE_SCORE = "score"
 _STAGE_FC = "fc"
 _STAGE_DONE = "done"
+
+
+def _refuse_unknown_keys(d: dict, cls, what: str) -> None:
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: "
+                          + ", ".join(map(repr, sorted(unknown, key=str))))
 
 
 @dataclass
@@ -164,6 +171,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        _refuse_unknown_keys(d, cls, "config")
+        if isinstance(d.get("backbone_sgd"), dict):
+            _refuse_unknown_keys(d["backbone_sgd"], SgdConfig, "backbone_sgd")
         d = dict(d)
         d["hidden_dims"] = tuple(d.get("hidden_dims", (256,)))
         return cls(**d)
@@ -216,12 +226,16 @@ class RunReport:
             raise ValueError(
                 f"unsupported report schema {d.get('schema_version')!r}"
             )
-        return cls(variant=d["variant"], seed=d["seed"], config=d["config"],
-                   epochs_total=d["epochs_total"], base=d["base"],
-                   rounds=d["rounds"], bit_trace=d["bit_trace"],
-                   groups=d["groups"], final=d["final"],
-                   leave_one_out=d["leave_one_out"],
-                   selected_bits=d.get("selected_bits"))
+        try:
+            return cls(variant=d["variant"], seed=d["seed"],
+                       config=d["config"], epochs_total=d["epochs_total"],
+                       base=d["base"], rounds=d["rounds"],
+                       bit_trace=d["bit_trace"], groups=d["groups"],
+                       final=d["final"], leave_one_out=d["leave_one_out"],
+                       selected_bits=d.get("selected_bits"))
+        except KeyError as exc:
+            raise ValueError(
+                f"report is missing its {exc.args[0]!r} entry") from None
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -230,6 +244,13 @@ class RunReport:
 
 CHECKPOINT_MAGIC = "HMRG1"
 CHECKPOINT_VERSION = 2
+
+# the entries of a checkpoint's counters and progress sections
+_COUNTERS = ("stage", "round_index", "epoch_in_stage", "global_epoch")
+_PROGRESS = frozenset({
+    "base_loss_per_epoch", "base_map", "rounds_done", "current_round",
+    "bit_trace", "round_adjacency", "score_sum", "score_batches", "fc_w",
+    "fc_b", "selected_bits"})
 
 
 @dataclass
@@ -429,9 +450,7 @@ class TrainingRun:
             "fc_b": _maybe_encode(self.fc_b),
             "selected_bits": self.selected_bits,
         }
-        counters = {"stage": self.stage, "round_index": self.round_index,
-                    "epoch_in_stage": self.epoch_in_stage,
-                    "global_epoch": self.global_epoch}
+        counters = {name: getattr(self, name) for name in _COUNTERS}
         return Checkpoint(self.cfg, self.net.copy(), self.graph, counters,
                           self.rng.bit_generator.state, progress,
                           self._dataset_sha256())
@@ -446,16 +465,22 @@ class TrainingRun:
         return h.hexdigest()
 
     def _restore_from(self, ckpt: Checkpoint):
+        c, p = ckpt.counters, ckpt.progress
+        for section, got, keys in (("counters", c, set(_COUNTERS)),
+                                   ("progress", p, _PROGRESS)):
+            if not isinstance(got, dict) or set(got) != keys:
+                raise CheckpointError(
+                    f"checkpoint's {section!r} section must hold exactly "
+                    f"the entries {sorted(keys)}")
+        if c["stage"] not in (*self._stages(), _STAGE_DONE):
+            raise CheckpointError(f"checkpoint has unknown stage "
+                                  f"{c['stage']!r}")
         self.net = ckpt.net.copy()
         self.graph = ckpt.graph
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = ckpt.rng_state
-        c = ckpt.counters
-        self.stage = c["stage"]
-        self.round_index = c["round_index"]
-        self.epoch_in_stage = c["epoch_in_stage"]
-        self.global_epoch = c["global_epoch"]
-        p = ckpt.progress
+        for name in _COUNTERS:
+            setattr(self, name, c[name])
         self.base_loss_per_epoch = list(p["base_loss_per_epoch"])
         self.base_map = p["base_map"]
         self.rounds_done = copy.deepcopy(p["rounds_done"])

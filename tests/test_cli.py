@@ -205,6 +205,35 @@ def test_evaluate_rejects_checkpoint_missing_a_section(data_file, tmp_path,
     assert "'config'" in _err_line(capsys)
 
 
+def _edited_checkpoint(src, dst, edit):
+    magic, body = src.read_text().split("\n", 1)
+    body = json.loads(body)
+    edit(body)
+    dst.write_text(magic + "\n" + json.dumps(body) + "\n")
+    return dst
+
+
+def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
+    ckpt = _edited_checkpoint(trained["ckpt"], tmp_path / "bogus.ckpt",
+                              lambda b: b["config"].update(bogus=1))
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(trained["data"])]) == 1
+    assert "unknown config keys: 'bogus'" in _err_line(capsys)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b.update(progress={}), "'progress' section"),
+    (lambda b: b.update(counters={}), "'counters' section"),
+    (lambda b: b["counters"].update(stage="bogus"), "unknown stage 'bogus'"),
+], ids=["empty-progress", "empty-counters", "unknown-stage"])
+def test_evaluate_rejects_malformed_progress(trained, tmp_path, capsys,
+                                             edit, message):
+    ckpt = _edited_checkpoint(trained["ckpt"], tmp_path / "bad.ckpt", edit)
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(trained["data"])]) == 1
+    assert message in _err_line(capsys)
+
+
 def test_evaluate_rejects_checkpoint_of_another_dataset(trained, tmp_path,
                                                         capsys):
     # same shape as the training data, another seed
@@ -377,3 +406,31 @@ def test_module_invocation_matches_script(tmp_path, script_env):
         assert proc.stderr.count("\n") == 1  # exactly one diagnostic line
     script, module = runs
     assert script.stderr == module.stderr
+
+
+def test_blas_threads_do_not_change_the_report(tmp_path):
+    # numpy has no runtime API for the BLAS thread count: OpenBLAS reads
+    # it from the environment when numpy is imported, so each setting
+    # runs in its own process.  Hidden width 256 and batch 128 make the
+    # backward GEMMs large enough for OpenBLAS to split them over threads.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(nmhash.__file__).parents[1])
+    cli = [sys.executable, "-m", "nmhash.cli"]
+    data = tmp_path / "feats.csv"
+    subprocess.run(cli + ["gen-data", "--classes", "8", "--dim", "16",
+                          "--per-class", "100", "--out", str(data)],
+                   check=True, capture_output=True, env=env)
+    reports = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"report{len(reports)}.json"
+        proc = subprocess.run(
+            cli + ["train", "--data", str(data), "--b-in", "24",
+                   "--b-out", "20", "--m", "4", "--base-epochs", "3",
+                   "--n0", "1", "--n1", "1", "--batch-size", "128",
+                   "--hidden-dims", "256", "--lr", "1e-7", "--seed", "1",
+                   "--out-report", str(out)],
+            capture_output=True, text=True, env={**env, **threads})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

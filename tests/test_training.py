@@ -97,6 +97,15 @@ def test_config_dict_round_trip():
     assert isinstance(back.backbone_sgd, SgdConfig)
 
 
+def test_config_from_dict_refuses_unknown_keys():
+    d = small_config().to_dict()
+    with pytest.raises(ConfigError, match="'bogus', 'extra'"):
+        ExperimentConfig.from_dict({**d, "extra": 2, "bogus": 1})
+    d["backbone_sgd"]["momentum"] = 0.9
+    with pytest.raises(ConfigError, match="'momentum'"):
+        ExperimentConfig.from_dict(d)
+
+
 # --- base stage ---------------------------------------------------------------
 
 def test_zero_base_epochs_leaves_initialization_untouched(dataset):
@@ -245,6 +254,19 @@ def test_report_rejects_increasing_bit_trace():
 def test_report_rejects_unknown_schema():
     with pytest.raises(ValueError):
         RunReport.from_dict({"schema_version": 99})
+
+
+def test_report_names_a_missing_key(dataset):
+    with pytest.raises(ValueError, match="'variant'"):
+        RunReport.from_dict({"schema_version": 1})
+    d = run_variant(small_config(), dataset).to_dict()
+    del d["final"]
+    with pytest.raises(ValueError, match="'final'"):
+        RunReport.from_dict(d)
+    # selected_bits is optional: reports without it load as None
+    d = run_variant(small_config(), dataset).to_dict()
+    del d["selected_bits"]
+    assert RunReport.from_dict(d).selected_bits is None
 
 
 # --- leave-one-out profile ----------------------------------------------------------
