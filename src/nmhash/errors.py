@@ -14,7 +14,7 @@ class DataFormatError(NmhashError, ValueError):
 
 
 class CheckpointError(NmhashError, ValueError):
-    """Checkpoint file is missing the magic header or has a bad version."""
+    """Checkpoint file is malformed, of another version, or for another dataset."""
 
 
 class InvalidCodeError(NmhashError, ValueError):
