@@ -226,8 +226,9 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     (lambda b: b.update(counters={}), "'counters' section"),
     (lambda b: b["counters"].update(stage="bogus"), "unknown stage 'bogus'"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage"])
-def test_evaluate_rejects_malformed_progress(trained, tmp_path, capsys,
-                                             edit, message):
+def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
+                                                         capsys, edit,
+                                                         message):
     ckpt = _edited_checkpoint(trained["ckpt"], tmp_path / "bad.ckpt", edit)
     assert main(["evaluate", "--checkpoint", str(ckpt),
                  "--data", str(trained["data"])]) == 1
