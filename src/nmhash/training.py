@@ -27,7 +27,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -174,8 +174,6 @@ class ExperimentConfig:
         _refuse_unknown_keys(d, cls, "config")
         if isinstance(d.get("backbone_sgd"), dict):
             _refuse_unknown_keys(d["backbone_sgd"], SgdConfig, "backbone_sgd")
-        d = dict(d)
-        d["hidden_dims"] = tuple(d.get("hidden_dims", (256,)))
         return cls(**d)
 
 
@@ -202,20 +200,7 @@ class RunReport:
             raise ValueError(f"bit trace must be nonincreasing, got {bits}")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "variant": self.variant,
-            "seed": self.seed,
-            "config": self.config,
-            "epochs_total": self.epochs_total,
-            "base": self.base,
-            "rounds": self.rounds,
-            "bit_trace": [[int(b), float(v)] for b, v in self.bit_trace],
-            "groups": [list(map(int, g)) for g in self.groups],
-            "final": self.final,
-            "leave_one_out": self.leave_one_out,
-            "selected_bits": self.selected_bits,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
@@ -226,16 +211,10 @@ class RunReport:
             raise ValueError(
                 f"unsupported report schema {d.get('schema_version')!r}"
             )
-        try:
-            return cls(variant=d["variant"], seed=d["seed"],
-                       config=d["config"], epochs_total=d["epochs_total"],
-                       base=d["base"], rounds=d["rounds"],
-                       bit_trace=d["bit_trace"], groups=d["groups"],
-                       final=d["final"], leave_one_out=d["leave_one_out"],
-                       selected_bits=d.get("selected_bits"))
-        except KeyError as exc:
-            raise ValueError(
-                f"report is missing its {exc.args[0]!r} entry") from None
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING:
+                raise ValueError(f"report is missing its {f.name!r} entry")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -245,12 +224,26 @@ class RunReport:
 CHECKPOINT_MAGIC = "HMRG1"
 CHECKPOINT_VERSION = 2
 
-# the entries of a checkpoint's counters and progress sections
-_COUNTERS = ("stage", "round_index", "epoch_in_stage", "global_epoch")
-_PROGRESS = frozenset({
-    "base_loss_per_epoch", "base_map", "rounds_done", "current_round",
-    "bit_trace", "round_adjacency", "score_sum", "score_batches", "fc_w",
-    "fc_b", "selected_bits"})
+# a run's resumable state besides its network, graph and generator:
+# attribute -> (checkpoint section, type, value at the start of a run);
+# arrays are float64 or None and are stored base64-encoded
+_STATE = {
+    "stage": ("counters", str, _STAGE_BASE),
+    "round_index": ("counters", int, 0),
+    "epoch_in_stage": ("counters", int, 0),
+    "global_epoch": ("counters", int, 0),
+    "base_loss_per_epoch": ("progress", list, []),
+    "base_map": ("progress", float, None),
+    "rounds_done": ("progress", list, []),
+    "current_round": ("progress", dict, None),
+    "bit_trace": ("progress", list, []),
+    "round_adjacency": ("progress", np.ndarray, None),
+    "score_sum": ("progress", np.ndarray, None),
+    "score_batches": ("progress", int, 0),
+    "fc_w": ("progress", np.ndarray, None),
+    "fc_b": ("progress", np.ndarray, None),
+    "selected_bits": ("progress", list, None),
+}
 
 
 @dataclass
@@ -279,14 +272,6 @@ def _encode_array(a: np.ndarray) -> dict:
 def _decode_array(d: dict) -> np.ndarray:
     raw = np.frombuffer(base64.b64decode(d["data"]), dtype="<f8")
     return raw.reshape(d["shape"]).astype(np.float64)
-
-
-def _maybe_encode(a):
-    return None if a is None else _encode_array(np.asarray(a, dtype=np.float64))
-
-
-def _maybe_decode(d):
-    return None if d is None else _decode_array(d)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -407,27 +392,14 @@ class TrainingRun:
                 (ds.dim, *cfg.hidden_dims, width), s_init)
             self.graph = _singletons(width)
             self.rng = np.random.default_rng(s_loop)
+            for name, (_, _, fresh) in _STATE.items():
+                setattr(self, name, copy.deepcopy(fresh))
             if cfg.variant == VARIANT_FCLAYER:
                 head_rng = np.random.default_rng(s_head)
                 bound = 1.0 / np.sqrt(cfg.b_in)
                 self.fc_w = head_rng.uniform(-bound, bound,
                                              (cfg.b_in, cfg.b_out))
                 self.fc_b = np.zeros(cfg.b_out)
-            else:
-                self.fc_w = self.fc_b = None
-            self.stage = _STAGE_BASE
-            self.round_index = 0
-            self.epoch_in_stage = 0
-            self.global_epoch = 0
-            self.round_adjacency: np.ndarray | None = None
-            self.base_loss_per_epoch: list[float] = []
-            self.base_map: float | None = None
-            self.rounds_done: list[dict] = []
-            self.current_round: dict | None = None
-            self.bit_trace: list[list] = []
-            self.score_sum: np.ndarray | None = None
-            self.score_batches = 0
-            self.selected_bits: list[int] | None = None
             self._settle()
         else:
             self._restore_from(_restore)
@@ -436,24 +408,16 @@ class TrainingRun:
     # -- state round trip ------------------------------------------------
 
     def to_checkpoint(self) -> Checkpoint:
-        progress = {
-            "base_loss_per_epoch": [float(v) for v in self.base_loss_per_epoch],
-            "base_map": self.base_map,
+        sections = {"counters": {}, "progress": {}}
+        for name, (section, kind, _) in _STATE.items():
+            value = getattr(self, name)
+            if kind is np.ndarray and value is not None:
+                value = _encode_array(value)
             # copies: the run keeps appending to its round records
-            "rounds_done": copy.deepcopy(self.rounds_done),
-            "current_round": copy.deepcopy(self.current_round),
-            "bit_trace": [[int(b), float(v)] for b, v in self.bit_trace],
-            "round_adjacency": _maybe_encode(self.round_adjacency),
-            "score_sum": _maybe_encode(self.score_sum),
-            "score_batches": self.score_batches,
-            "fc_w": _maybe_encode(self.fc_w),
-            "fc_b": _maybe_encode(self.fc_b),
-            "selected_bits": self.selected_bits,
-        }
-        counters = {name: getattr(self, name) for name in _COUNTERS}
-        return Checkpoint(self.cfg, self.net.copy(), self.graph, counters,
-                          self.rng.bit_generator.state, progress,
-                          self._dataset_sha256())
+            sections[section][name] = copy.deepcopy(value)
+        return Checkpoint(self.cfg, self.net.copy(), self.graph,
+                          sections["counters"], self.rng.bit_generator.state,
+                          sections["progress"], self._dataset_sha256())
 
     def _dataset_sha256(self) -> str:
         h = hashlib.sha256(
@@ -465,38 +429,30 @@ class TrainingRun:
         return h.hexdigest()
 
     def _restore_from(self, ckpt: Checkpoint):
-        c, p = ckpt.counters, ckpt.progress
-        for section, got, keys in (("counters", c, set(_COUNTERS)),
-                                   ("progress", p, _PROGRESS)):
+        sections = {"counters": ckpt.counters, "progress": ckpt.progress}
+        for section, got in sections.items():
+            keys = {n for n, (s, _, _) in _STATE.items() if s == section}
             if not isinstance(got, dict) or set(got) != keys:
                 raise CheckpointError(
                     f"checkpoint's {section!r} section must hold exactly "
                     f"the entries {sorted(keys)}")
-        if c["stage"] not in (*self._stages(), _STAGE_DONE):
-            raise CheckpointError(f"checkpoint has unknown stage "
-                                  f"{c['stage']!r}")
         self.net = ckpt.net.copy()
         self.graph = ckpt.graph
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = ckpt.rng_state
-        for name in _COUNTERS:
-            setattr(self, name, c[name])
-        self.base_loss_per_epoch = list(p["base_loss_per_epoch"])
-        self.base_map = p["base_map"]
-        self.rounds_done = copy.deepcopy(p["rounds_done"])
-        self.current_round = copy.deepcopy(p["current_round"])
-        self.bit_trace = [[int(b), float(v)] for b, v in p["bit_trace"]]
-        self.round_adjacency = _maybe_decode(p["round_adjacency"])
-        self.score_sum = _maybe_decode(p["score_sum"])
-        self.score_batches = p["score_batches"]
-        self.fc_w = _maybe_decode(p["fc_w"])
-        self.fc_b = _maybe_decode(p["fc_b"])
-        self.selected_bits = p["selected_bits"]
+        for name, (section, kind, _) in _STATE.items():
+            value = sections[section][name]
+            if kind is np.ndarray and value is not None:
+                value = _decode_array(value)
+            setattr(self, name, copy.deepcopy(value))
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint,
                         dataset: FeatureDataset) -> "TrainingRun":
         run = cls(ckpt.config, dataset, _restore=ckpt)
+        if run.stage not in (*run._stages(), _STAGE_DONE):
+            raise CheckpointError(f"checkpoint has unknown stage "
+                                  f"{run.stage!r}")
         if run._dataset_sha256() != ckpt.dataset_sha256:
             raise CheckpointError(
                 "checkpoint was written for a different dataset: features, "
