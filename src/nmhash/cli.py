@@ -86,25 +86,15 @@ def read_config_file(path) -> dict:
 
 def _add_training_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--b-in", type=int, dest="b_in")
-    p.add_argument("--b-out", type=int, dest="b_out")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n0", type=int, dest="n0_epochs")
-    p.add_argument("--n1", type=int, dest="n1_epochs")
-    p.add_argument("--base-epochs", type=int, dest="base_epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--nm-lr", type=float, dest="nm_learning_rate")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--dropout-rate", type=float, dest="dropout_rate")
-    p.add_argument("--hidden-dims", dest="hidden_dims",
-                   help="comma-separated hidden layer sizes, e.g. 256 or 128,64")
-    p.add_argument("--n-validation", type=int, dest="n_validation")
-    p.add_argument("--n-query", type=int, dest="n_query")
-    p.add_argument("--score-every", type=int, dest="score_every")
-    p.add_argument("--seed", type=int)
+    flag_names = {key: alias for alias, key in _CONFIG_ALIASES.items()}
+    for key, parse in _CONFIG_PARSERS.items():
+        flag = "--" + flag_names.get(key, key).replace("_", "-")
+        if key == "hidden_dims":  # parsed in build_experiment_config
+            p.add_argument(flag, dest=key, help="comma-separated hidden "
+                           "layer sizes, e.g. 256 or 128,64")
+        else:
+            p.add_argument(flag, dest=key, type=parse,
+                           choices=VARIANTS if key == "variant" else None)
 
 
 def build_experiment_config(args) -> ExperimentConfig:

@@ -27,7 +27,9 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, asdict
+import typing
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass)
 
 import numpy as np
 
@@ -62,11 +64,39 @@ _STAGE_FC = "fc"
 _STAGE_DONE = "done"
 
 
-def _refuse_unknown_keys(d: dict, cls, what: str) -> None:
-    unknown = set(d) - {f.name for f in fields(cls)}
+def _matches(value, kind) -> bool:
+    """Whether a decoded JSON value fits a declared type.
+
+    An int passes as a float, a bool as neither, and a list as a tuple.
+    """
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) \
+            and all(_matches(v, typing.get_args(kind)[0]) for v in value)
+    if typing.get_args(kind):  # a union such as int | None
+        return any(_matches(value, k) for k in typing.get_args(kind))
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_fields(d, cls, what: str) -> None:
+    """ConfigError unless d is an object whose keys are fields of the
+    dataclass cls and whose values have those fields' types."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(declared)
     if unknown:
         raise ConfigError(f"unknown {what} keys: "
                           + ", ".join(map(repr, sorted(unknown, key=str))))
+    kinds = typing.get_type_hints(cls)
+    for key, value in d.items():
+        if is_dataclass(kinds[key]):
+            if not isinstance(value, kinds[key]):
+                _check_fields(value, kinds[key], key)
+        elif not _matches(value, kinds[key]):
+            raise ConfigError(f"{what} key {key!r} must be {declared[key]}, "
+                              f"got {value!r}")
 
 
 @dataclass
@@ -171,9 +201,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _refuse_unknown_keys(d, cls, "config")
-        if isinstance(d.get("backbone_sgd"), dict):
-            _refuse_unknown_keys(d["backbone_sgd"], SgdConfig, "backbone_sgd")
+        _check_fields(d, cls, "config")
         return cls(**d)
 
 
@@ -269,9 +297,17 @@ def _encode_array(a: np.ndarray) -> dict:
             "data": base64.b64encode(buf.tobytes()).decode("ascii")}
 
 
-def _decode_array(d: dict) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(d["data"]), dtype="<f8")
-    return raw.reshape(d["shape"]).astype(np.float64)
+def _decode_array(d: dict, where: str) -> np.ndarray:
+    try:
+        if not all(_matches(n, int) and n >= 0 for n in d["shape"]):
+            raise ValueError
+        raw = np.frombuffer(base64.b64decode(d["data"], validate=True),
+                            dtype="<f8")
+        return raw.reshape(d["shape"]).astype(np.float64)
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointError(
+            f"checkpoint's {where} must be a float64 array: an object with "
+            "a 'shape' list and base64 'data'") from None
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -324,8 +360,9 @@ def load_checkpoint(path) -> Checkpoint:
         cfg = ExperimentConfig.from_dict(body["config"])
         net_d = body["net"]
         net = HashNet(tuple(net_d["layer_dims"]),
-                      [_decode_array(w) for w in net_d["weights"]],
-                      [_decode_array(b) for b in net_d["biases"]],
+                      [_decode_array(w, "net.weights")
+                       for w in net_d["weights"]],
+                      [_decode_array(b, "net.biases") for b in net_d["biases"]],
                       net_d["hidden_activation"])
         graph = MergeGraph.from_partition(body["graph"]["n_nodes"],
                                           body["graph"]["groups"])
@@ -440,10 +477,16 @@ class TrainingRun:
         self.graph = ckpt.graph
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = ckpt.rng_state
-        for name, (section, kind, _) in _STATE.items():
-            value = sections[section][name]
-            if kind is np.ndarray and value is not None:
-                value = _decode_array(value)
+        for name, (section, kind, fresh) in _STATE.items():
+            value, where = sections[section][name], f"{section}.{name}"
+            if value is None and fresh is None:
+                pass
+            elif kind is np.ndarray:
+                value = _decode_array(value, where)
+            elif not _matches(value, kind):
+                raise CheckpointError(
+                    f"checkpoint's {where} must be {kind.__name__}, "
+                    f"got {type(value).__name__}")
             setattr(self, name, copy.deepcopy(value))
 
     @classmethod

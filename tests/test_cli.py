@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import nmhash
-from nmhash.cli import main, read_config_file
+from nmhash.cli import (_CONFIG_PARSERS, build_experiment_config,
+                        build_parser, main, read_config_file)
 from nmhash.data import load_features
 from nmhash.errors import ConfigError
 from nmhash.training import CHECKPOINT_MAGIC, RunReport
@@ -155,6 +156,42 @@ def test_flags_override_config_file(tmp_path, data_file):
     assert report.config["backbone_sgd"]["learning_rate"] == 1e-7
 
 
+def test_every_config_key_has_a_flag_that_matches_the_file(tmp_path):
+    # config-file key -> (its flag, a value that differs from the default)
+    given = {
+        "b_in": ("--b-in", "10"), "b_out": ("--b-out", "4"),
+        "m": ("--m", "3"), "n0_epochs": ("--n0", "2"),
+        "n1_epochs": ("--n1", "3"), "base_epochs": ("--base-epochs", "4"),
+        "batch_size": ("--batch-size", "32"),
+        "learning_rate": ("--lr", "1e-6"),
+        "weight_decay": ("--weight-decay", "1e-4"),
+        "nm_learning_rate": ("--nm-lr", "0.5"), "eta": ("--eta", "10"),
+        "seed": ("--seed", "7"), "variant": ("--variant", "select"),
+        "dropout_rate": ("--dropout-rate", "0.25"),
+        "hidden_dims": ("--hidden-dims", "16,8"),
+        "n_validation": ("--n-validation", "5"),
+        "n_query": ("--n-query", "6"), "score_every": ("--score-every", "2"),
+    }
+    assert set(given) == set(_CONFIG_PARSERS)
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, (_, value) in given.items()))
+    flags = [tok for flag, value in given.values() for tok in (flag, value)]
+    for command in ("train", "ablate"):
+        fixed = [command, "--data", "x.csv"] + \
+            (["--seeds", "1"] if command == "ablate" else [])
+        parser = build_parser()
+        from_file = build_experiment_config(
+            parser.parse_args([*fixed, "--config", str(path)]))
+        from_flags = build_experiment_config(parser.parse_args(fixed + flags))
+        assert from_flags == from_file
+        assert from_flags.hidden_dims == (16, 8)
+        assert from_flags.backbone_sgd.learning_rate == 1e-6
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--data", "x.csv",
+                                   "--variant", "nonsense"])
+
+
 # --- evaluate -------------------------------------------------------------------------
 
 def test_evaluate_reproduces_report_map(trained, capsys):
@@ -230,6 +267,21 @@ def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):
     ckpt = _edited_checkpoint(trained["ckpt"], tmp_path / "bad.ckpt", edit)
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(trained["data"])]) == 1
+    assert message in _err_line(capsys)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b["config"].update(b_in="x"), "'b_in' must be int"),
+    (lambda b: b["counters"].update(global_epoch="x"),
+     "counters.global_epoch must be int"),
+    (lambda b: b["progress"].update(round_adjacency={}),
+     "progress.round_adjacency must be a float64 array"),
+], ids=["config-b_in", "counters-global_epoch", "progress-round_adjacency"])
+def test_evaluate_rejects_wrong_typed_values(trained, tmp_path, capsys, edit,
+                                             message):
+    ckpt = _edited_checkpoint(trained["ckpt"], tmp_path / "typed.ckpt", edit)
     assert main(["evaluate", "--checkpoint", str(ckpt),
                  "--data", str(trained["data"])]) == 1
     assert message in _err_line(capsys)

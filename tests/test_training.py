@@ -1,5 +1,6 @@
 """Training schedules: config, stage machine, variants, checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -104,6 +105,23 @@ def test_config_from_dict_refuses_unknown_keys():
     d["backbone_sgd"]["momentum"] = 0.9
     with pytest.raises(ConfigError, match="'momentum'"):
         ExperimentConfig.from_dict(d)
+
+
+def test_config_from_dict_refuses_wrong_typed_values():
+    d = small_config().to_dict()
+    for key, value in [("b_in", "x"), ("seed", True), ("eta", "1"),
+                       ("n_query", 1.5), ("hidden_dims", 32),
+                       ("hidden_dims", ["32"]), ("backbone_sgd", "x")]:
+        with pytest.raises(ConfigError, match=f"'?{key}'? must be"):
+            ExperimentConfig.from_dict({**d, key: value})
+    with pytest.raises(ConfigError, match="'learning_rate' must be float"):
+        ExperimentConfig.from_dict(
+            {**d, "backbone_sgd": {"learning_rate": "x"}})
+    with pytest.raises(ConfigError, match="config must be an object"):
+        ExperimentConfig.from_dict(["b_in"])
+    # an int where a float is declared is the same value
+    assert ExperimentConfig.from_dict({**d, "eta": 1200}) == \
+        small_config(eta=1200.0)
 
 
 # --- base stage ---------------------------------------------------------------
@@ -362,6 +380,44 @@ def test_checkpoint_missing_section_is_refused(tmp_path, dataset):
         cut.write_text(magic + "\n" + json.dumps(partial) + "\n")
         with pytest.raises(CheckpointError, match=f"'{section}'"):
             load_checkpoint(cut)
+
+
+def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
+    # a mid-active checkpoint holds an adjacency, so every kind of entry
+    # is live; each one deleted, then set to a string, must be refused
+    run = TrainingRun(small_config(), dataset).run(stop_after=3)
+    assert run.stage == "active"
+    path = tmp_path / "mid.ckpt"
+    save_checkpoint(run.to_checkpoint(), path)
+    ckpt = load_checkpoint(path)
+    cases = []
+    for section in ("counters", "progress"):
+        for key in getattr(ckpt, section):
+            deleted = dict(getattr(ckpt, section))
+            del deleted[key]
+            cases += [(section, key, deleted),
+                      (section, key, {**getattr(ckpt, section), key: "x"})]
+    assert len(cases) == 30
+    for section, key, edited in cases:
+        bad = dataclasses.replace(ckpt, **{section: edited})
+        with pytest.raises(CheckpointError):
+            TrainingRun.from_checkpoint(bad, dataset)
+    # the unedited checkpoint still resumes
+    assert TrainingRun.from_checkpoint(ckpt, dataset).run().done
+
+
+def test_malformed_array_entry_is_refused(dataset):
+    ckpt = TrainingRun(small_config(), dataset).run(stop_after=3) \
+        .to_checkpoint()
+    wrong_size = {**ckpt.progress["round_adjacency"], "shape": [7, 6]}
+    for array in ({}, {"shape": [6, 6]}, {"data": ""}, [], wrong_size,
+                  {"shape": "x", "data": ""}, {"shape": [-1], "data": ""},
+                  {"shape": [1], "data": "not base64"},
+                  {"shape": [1], "data": None}):
+        bad = dataclasses.replace(
+            ckpt, progress={**ckpt.progress, "round_adjacency": array})
+        with pytest.raises(CheckpointError, match="round_adjacency"):
+            TrainingRun.from_checkpoint(bad, dataset)
 
 
 def test_checkpoint_graph_section_is_the_partition(tmp_path, dataset):
