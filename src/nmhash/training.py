@@ -297,17 +297,17 @@ def _encode_array(a: np.ndarray) -> dict:
             "data": base64.b64encode(buf.tobytes()).decode("ascii")}
 
 
-def _decode_array(d: dict, where: str) -> np.ndarray:
+def _decode_array(d, where: str) -> np.ndarray:
     try:
-        if not all(_matches(n, int) and n >= 0 for n in d["shape"]):
-            raise ValueError
+        shape = d["shape"]
         raw = np.frombuffer(base64.b64decode(d["data"], validate=True),
                             dtype="<f8")
-        return raw.reshape(d["shape"]).astype(np.float64)
-    except (KeyError, TypeError, ValueError):
-        raise CheckpointError(
-            f"checkpoint's {where} must be a float64 array: an object with "
-            "a 'shape' list and base64 'data'") from None
+        if all(_matches(n, int) and n >= 0 for n in shape):
+            return raw.reshape(shape).astype(np.float64)
+    except (KeyError, TypeError, ValueError):  # binascii.Error included
+        pass
+    raise CheckpointError(f"checkpoint's {where} must be a float64 array: "
+                          "an object with a 'shape' list and base64 'data'")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
