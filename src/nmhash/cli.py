@@ -13,15 +13,18 @@ import json
 import os
 import statistics
 import sys
+import typing
+from dataclasses import fields, is_dataclass
 
 from .data import generate_synthetic, load_features, save_features
 from .errors import ConfigError, NmhashError
+from .merging import score_neurons
 from .metrics import (mean_average_precision, pr_curve,
                       precision_at_hamming_radius, precision_at_top_n)
 from .network import SgdConfig
 from .training import (ExperimentConfig, RunReport, TrainingRun, VARIANTS,
                        VARIANT_BASELINE, VARIANT_DROPOUT, VARIANT_FULL,
-                       leave_one_out, load_checkpoint, save_checkpoint)
+                       load_checkpoint, save_checkpoint)
 
 _DEFAULT_TOP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -43,14 +46,22 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated ints, got {text!r}") from None
 
 
+def _training_fields(cls=ExperimentConfig) -> list:
+    """(field, type) of every training key, in declaration order; a
+    dataclass-typed field (backbone_sgd) stands for its own fields."""
+    kinds = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = kinds[f.name]
+        out += _training_fields(kind) if is_dataclass(kind) else [(f, kind)]
+    return out
+
+
+_TRAINING_FIELDS = _training_fields()
+_TYPE_PARSERS = {int: int, float: float, str: str, int | None: int}
 _CONFIG_PARSERS = {
-    "b_in": int, "b_out": int, "m": int,
-    "n0_epochs": int, "n1_epochs": int, "base_epochs": int,
-    "batch_size": int, "learning_rate": float, "weight_decay": float,
-    "nm_learning_rate": float, "eta": float, "seed": int, "variant": str,
-    "dropout_rate": float, "hidden_dims": _parse_hidden_dims,
-    "n_validation": int, "n_query": int, "score_every": int,
-}
+    f.name: _parse_hidden_dims if f.name == "hidden_dims"
+    else _TYPE_PARSERS[kind] for f, kind in _TRAINING_FIELDS}
 
 _CONFIG_ALIASES = {"n0": "n0_epochs", "n1": "n1_epochs",
                    "lr": "learning_rate", "nm_lr": "nm_learning_rate"}
@@ -87,14 +98,14 @@ def read_config_file(path) -> dict:
 def _add_training_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     flag_names = {key: alias for alias, key in _CONFIG_ALIASES.items()}
-    for key, parse in _CONFIG_PARSERS.items():
-        flag = "--" + flag_names.get(key, key).replace("_", "-")
-        if key == "hidden_dims":  # parsed in build_experiment_config
-            p.add_argument(flag, dest=key, help="comma-separated hidden "
+    for f, _ in _TRAINING_FIELDS:
+        flag = "--" + flag_names.get(f.name, f.name).replace("_", "-")
+        if f.name == "hidden_dims":  # parsed in build_experiment_config
+            p.add_argument(flag, dest=f.name, help="comma-separated hidden "
                            "layer sizes, e.g. 256 or 128,64")
         else:
-            p.add_argument(flag, dest=key, type=parse,
-                           choices=VARIANTS if key == "variant" else None)
+            p.add_argument(flag, dest=f.name, type=_CONFIG_PARSERS[f.name],
+                           choices=f.metadata.get("choices"))
 
 
 def build_experiment_config(args) -> ExperimentConfig:
@@ -105,13 +116,16 @@ def build_experiment_config(args) -> ExperimentConfig:
             if key == "hidden_dims":
                 flag_value = _parse_hidden_dims(flag_value)
             values[key] = flag_value
-    lr = values.pop("learning_rate", None)
-    wd = values.pop("weight_decay", None)
-    sgd = SgdConfig(
-        learning_rate=lr if lr is not None else SgdConfig().learning_rate,
-        weight_decay=wd if wd is not None else SgdConfig().weight_decay,
-    )
+    sgd = SgdConfig(**{f.name: values.pop(f.name) for f in fields(SgdConfig)
+                       if f.name in values})
     return ExperimentConfig(backbone_sgd=sgd, **values)
+
+
+def _write_file(path, text: str) -> None:
+    """Write text and a final newline to path, when a path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
 
 
 def cmd_gen_data(args) -> int:
@@ -130,25 +144,22 @@ def cmd_train(args) -> int:
     report = run.report()
     if args.out_checkpoint:
         save_checkpoint(run.to_checkpoint(), args.out_checkpoint)
-    if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+    _write_file(args.out_report, report.to_json())
     print(f"variant={cfg.variant} final_map={report.final['map']:.6f} "
           f"effective_bits={report.final['effective_bits']}")
     return 0
 
 
-def _run_from_checkpoint(checkpoint_path, data_path) -> TrainingRun:
-    ckpt = load_checkpoint(checkpoint_path)
-    ds = load_features(data_path)
-    return TrainingRun.from_checkpoint(ckpt, ds)
+def _checkpoint_codes(args) -> tuple:
+    """(query codes, query labels, gallery codes, gallery labels) of the
+    --checkpoint run on the --data set."""
+    ckpt = load_checkpoint(args.checkpoint)
+    run = TrainingRun.from_checkpoint(ckpt, load_features(args.data))
+    return (*run.codes("query"), *run.codes("gallery"))
 
 
 def cmd_evaluate(args) -> int:
-    run = _run_from_checkpoint(args.checkpoint, args.data)
-    q, q_labels = run.codes("query")
-    g, g_labels = run.codes("gallery")
+    q, q_labels, g, g_labels = _checkpoint_codes(args)
     # retrieve and precision_at_top_n refuse depths outside the gallery
     if args.top_n is not None:
         n_values = _parse_int_list(args.top_n)
@@ -171,43 +182,33 @@ def cmd_evaluate(args) -> int:
         },
     }
     text = json.dumps(metrics, sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _write_file(args.out, text)
     print(text)
     return 0
 
 
 def cmd_profile(args) -> int:
-    run = _run_from_checkpoint(args.checkpoint, args.data)
-    p, std = leave_one_out(*run.codes("query"), *run.codes("gallery"))
+    q, q_labels, g, g_labels = _checkpoint_codes(args)
+    p = score_neurons(g, g_labels, q, q_labels)
     out = {"schema_version": 1,
            "map_without_bit": [float(v) for v in p],
-           "std": std}
+           "std": float(p.std())}
     text = json.dumps(out, sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _write_file(args.out, text)
     print(text)
     return 0
 
 
 def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    _write_file(path, "\n".join(
+        [header] + [",".join(repr(v) if isinstance(v, float) else str(v)
+                             for v in row) for row in rows]))
 
 
 def cmd_export_curves(args) -> int:
-    run = _run_from_checkpoint(args.checkpoint, args.data)
+    q, q_labels, g, g_labels = _checkpoint_codes(args)
     with open(args.report, "r", encoding="utf-8") as fh:
         report = RunReport.from_json(fh.read())
-    q, q_labels = run.codes("query")
-    g, g_labels = run.codes("gallery")
     os.makedirs(args.out_dir, exist_ok=True)
 
     points = pr_curve(q, q_labels, g, g_labels)
@@ -225,7 +226,7 @@ def cmd_export_curves(args) -> int:
                [(int(b), float(v)) for b, v in report.bit_trace])
 
     try:
-        p, _ = leave_one_out(q, q_labels, g, g_labels)
+        p = score_neurons(g, g_labels, q, q_labels)
         loo_rows = [(bit, float(v)) for bit, v in enumerate(p)]
     except ConfigError:  # a 1-bit code has no profile
         loo_rows = []
@@ -278,11 +279,7 @@ def cmd_ablate(args) -> int:
                      "median_map": float(statistics.median(maps)),
                      "maps": [float(v) for v in maps]})
     table = {"schema_version": 1, "seeds": seeds, "rows": rows}
-    text = json.dumps(table, sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _write_file(args.out, json.dumps(table, sort_keys=True, indent=1))
     for row in rows:
         print(f"{row['variant']:<10} median_map={row['median_map']:.6f}")
     return 0

@@ -64,14 +64,6 @@ class FeatureDataset:
     def indices(self, role: str) -> np.ndarray:
         return np.flatnonzero(self.roles == role)
 
-    def subset(self, role: str) -> tuple[np.ndarray, list[frozenset]]:
-        idx = self.indices(role)
-        return self.features[idx], [self.labels[i] for i in idx]
-
-    def copy(self) -> "FeatureDataset":
-        return FeatureDataset(self.features.copy(), list(self.labels),
-                              self.roles.copy())
-
 
 def generate_synthetic(n_classes: int, dim: int, n_per_class: int,
                        noise_sigma: float, seed) -> FeatureDataset:

@@ -1,11 +1,11 @@
-"""Pairwise similarity losses for hash code learning.
+"""Pairwise similarity loss for hash code learning.
 
-Both losses push the inner product of two code vectors toward K * s_ij,
+The loss pushes the inner product of two code vectors toward K * s_ij,
 where s_ij is +1 for similar pairs and -1 for dissimilar ones and K is the
-code length.  The discrete form works on finished {-1, +1} codes; the
-relaxed form works on the real-valued network outputs and adds a
-quantization penalty eta * sum_i ||sign(u_i) - u_i||^2 that pulls outputs
-toward the corners of the hypercube.
+code length.  It works on the real-valued network outputs (the relaxation
+of finished {-1, +1} codes, on which it equals the discrete loss) and adds
+a quantization penalty eta * sum_i ||sign(u_i) - u_i||^2 that pulls
+outputs toward the corners of the hypercube.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCodeError
 from .metrics import sign_pm1
 
 
-def _check_similarity(s, n_rows, n_cols):
+def _check_similarity(s, n_rows):
     sm = np.asarray(s, dtype=np.float64)
-    if sm.shape != (n_rows, n_cols):
+    if sm.shape != (n_rows, n_rows):
         raise ValueError(
             f"similarity matrix shape {sm.shape} does not match codes "
-            f"({n_rows}, {n_cols})"
+            f"({n_rows}, {n_rows})"
         )
     if not np.isin(sm, (-1.0, 1.0)).all():
         raise ValueError("similarity entries must be -1 or +1")
@@ -47,33 +46,6 @@ def _check_outputs(u, n_bits):
     return arr
 
 
-def discrete_hash_loss(codes, similarity, n_bits: int,
-                       gallery_codes=None) -> float:
-    """Sum of (b_i . b_j - K s_ij)^2 over code pairs.
-
-    With gallery_codes omitted the rows of `codes` pair against themselves
-    and the i == j terms are skipped.  With a gallery given, every
-    (query row, gallery row) pair contributes and `similarity` has shape
-    (n_query, n_gallery).
-
-    Codes must be strictly binary; a 0 bit raises InvalidCodeError.
-    """
-    b = _check_outputs(codes, n_bits)
-    if not np.isin(b, (-1.0, 1.0)).all():
-        raise InvalidCodeError("discrete loss requires codes over {-1, +1}")
-    if gallery_codes is None:
-        s = _check_similarity(similarity, b.shape[0], b.shape[0])
-        resid = b @ b.T - n_bits * s
-        np.fill_diagonal(resid, 0.0)
-        return float((resid ** 2).sum())
-    g = _check_outputs(gallery_codes, n_bits)
-    if not np.isin(g, (-1.0, 1.0)).all():
-        raise InvalidCodeError("discrete loss requires codes over {-1, +1}")
-    s = _check_similarity(similarity, b.shape[0], g.shape[0])
-    resid = b @ g.T - n_bits * s
-    return float((resid ** 2).sum())
-
-
 @dataclass
 class LossValue:
     """Relaxed loss split into its two terms; total = pairwise + eta*quant."""
@@ -95,7 +67,7 @@ def relaxed_hash_loss(outputs, similarity, n_bits: int,
     u = _check_outputs(outputs, n_bits)
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    s = _check_similarity(similarity, u.shape[0], u.shape[0])
+    s = _check_similarity(similarity, u.shape[0])
     resid = u @ u.T - n_bits * s
     np.fill_diagonal(resid, 0.0)
     pairwise = float((resid ** 2).sum())
@@ -116,7 +88,7 @@ def relaxed_hash_loss_grad(outputs, similarity, n_bits: int,
     u = _check_outputs(outputs, n_bits)
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    s = _check_similarity(similarity, u.shape[0], u.shape[0])
+    s = _check_similarity(similarity, u.shape[0])
     resid = u @ u.T - n_bits * s
     np.fill_diagonal(resid, 0.0)
     grad = 2.0 * ((resid + resid.T) @ u)

@@ -20,7 +20,7 @@ ids, and two items count as relevant to each other when the sets intersect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,11 +75,6 @@ def pairwise_hamming(query_codes, gallery_codes) -> np.ndarray:
     return _distance(q @ g.T, q.shape[1])
 
 
-def hamming_distance(a, b) -> float:
-    """Distance between two code vectors of equal length K: (K - a.b)/2."""
-    return float(pairwise_hamming(np.ravel(a), np.ravel(b))[0, 0])
-
-
 def _label_sets(labels) -> list[frozenset]:
     out = []
     for i, item in enumerate(labels):
@@ -90,15 +85,6 @@ def _label_sets(labels) -> list[frozenset]:
     if not out:
         raise ValueError("empty label sequence")
     return out
-
-
-def label_similarity(labels_i: Iterable[int], labels_j: Iterable[int]) -> int:
-    """+1 when the two label sets share at least one id, else -1."""
-    a = frozenset(int(v) for v in labels_i)
-    b = frozenset(int(v) for v in labels_j)
-    if not a or not b:
-        raise ValueError("label sets must be non-empty")
-    return 1 if a & b else -1
 
 
 def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
@@ -118,24 +104,11 @@ def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
 
 
 def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
-    """AP of each row of ranked 0/1 flags; a row with no hit scores 0."""
+    """AP of each row of ranked 0/1 flags: the mean precision@k over the
+    relevant ranks k, and 0 for a row with no hit."""
     flags = rel_ranked.astype(np.float64)
     prec = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
     return (prec * flags).sum(axis=1) / np.maximum(flags.sum(axis=1), 1.0)
-
-
-def average_precision(relevance) -> float:
-    """AP of one ranked list of 0/1 relevance flags.
-
-    Mean over the relevant positions k (1-based) of precision@k.  A list
-    with no relevant item scores 0 by convention.
-    """
-    rel = np.asarray(relevance, dtype=np.float64).ravel()
-    if rel.size == 0:
-        raise ValueError("empty relevance list")
-    if not np.isin(rel, (0.0, 1.0)).all():
-        raise ValueError("relevance flags must be 0 or 1")
-    return float(_ap_per_query(rel[np.newaxis, :])[0])
 
 
 @dataclass

@@ -120,7 +120,8 @@ class ExperimentConfig:
     nm_learning_rate: float = 1e-2
     eta: float = 1200.0
     seed: int = 0
-    variant: str = VARIANT_FULL
+    variant: str = field(default=VARIANT_FULL,
+                         metadata={"choices": VARIANTS})
     dropout_rate: float = 0.5
     hidden_dims: tuple[int, ...] = (256,)
     n_validation: int | None = None
@@ -376,17 +377,6 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _singletons(n: int) -> MergeGraph:
     return MergeGraph.from_partition(n, [[i] for i in range(n)])
-
-
-def leave_one_out(query_codes, query_labels, gallery_codes,
-                  gallery_labels) -> tuple[np.ndarray, float]:
-    """Per-bit MAP with that bit deleted, and the spread of those values.
-
-    Scores query codes against gallery codes; score_neurons refuses fewer
-    than 2 effective bits with ConfigError.
-    """
-    p = score_neurons(gallery_codes, gallery_labels, query_codes, query_labels)
-    return p, float(p.std())
 
 
 class TrainingRun:
@@ -776,7 +766,9 @@ class TrainingRun:
         radius2 = precision_at_hamming_radius(q, q_labels, g, g_labels,
                                               radius=2.0)
         try:
-            loo = leave_one_out(q, q_labels, g, g_labels)
+            p = score_neurons(g, g_labels, q, q_labels)
+            loo = {"map_without_bit": [float(v) for v in p],
+                   "std": float(p.std())}
         except ConfigError:  # a 1-bit code has no profile
             loo = None
         return RunReport(
@@ -794,22 +786,7 @@ class TrainingRun:
             final={"effective_bits": self.graph.n_groups,
                    "map": float(final_map),
                    "precision_at_radius2": float(radius2)},
-            leave_one_out=None if loo is None else
-                {"map_without_bit": [float(v) for v in loo[0]],
-                 "std": loo[1]},
+            leave_one_out=loo,
             selected_bits=self.selected_bits,
         )
 
-
-# -- public entry points --------------------------------------------------
-
-
-def run_variant(cfg: ExperimentConfig, dataset: FeatureDataset) -> RunReport:
-    """Run any variant end to end and return its report."""
-    return TrainingRun(cfg, dataset).run().report()
-
-
-def resume_training(ckpt: Checkpoint, dataset: FeatureDataset,
-                    stop_after: int | None = None) -> TrainingRun:
-    """Continue a checkpointed run against the same dataset."""
-    return TrainingRun.from_checkpoint(ckpt, dataset).run(stop_after=stop_after)

@@ -92,6 +92,17 @@ def brute_force_top_n(query_codes, query_labels, gallery_codes,
     return out
 
 
+def discrete_hash_loss(codes, similarity, n_bits) -> float:
+    """Sum of (b_i . b_j - K s_ij)^2 over ordered pairs of rows i != j."""
+    total = 0.0
+    for i, b_i in enumerate(codes):
+        for j, b_j in enumerate(codes):
+            if i != j:
+                dot = sum(x * y for x, y in zip(b_i, b_j))
+                total += (dot - n_bits * similarity[i][j]) ** 2
+    return total
+
+
 def naive_propagate(p, adjacency) -> np.ndarray:
     """Score propagation written as the literal per-node sum."""
     p = list(p)

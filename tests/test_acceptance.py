@@ -38,7 +38,7 @@ from nmhash.merging import (
 from nmhash.metrics import mean_average_precision, retrieve
 from nmhash.network import SgdConfig, backward, forward, init_network
 from nmhash.training import ExperimentConfig, TrainingRun, load_checkpoint, \
-    resume_training, save_checkpoint
+    save_checkpoint
 from oracles import (brute_force_map, central_difference, relative_error,
                      top_m_components)
 
@@ -359,7 +359,8 @@ def test_criterion_7_determinism_and_resume(default_set, tmp_path):
         part = TrainingRun(fresh_short(), default_set).run(stop_after=stop)
         path = tmp_path / f"short{stop}.ckpt"
         save_checkpoint(part.to_checkpoint(), path)
-        resumed = resume_training(load_checkpoint(path), default_set)
+        resumed = TrainingRun.from_checkpoint(load_checkpoint(path),
+                                              default_set).run()
         resume_ok &= resumed.report().to_json() == straight
 
     # interruptions inside merge rounds (active and frozen stages)
@@ -368,7 +369,8 @@ def test_criterion_7_determinism_and_resume(default_set, tmp_path):
         part = TrainingRun(fresh_full(), default_set).run(stop_after=stop)
         path = tmp_path / f"full{stop}.ckpt"
         save_checkpoint(part.to_checkpoint(), path)
-        resumed = resume_training(load_checkpoint(path), default_set)
+        resumed = TrainingRun.from_checkpoint(load_checkpoint(path),
+                                              default_set).run()
         resume_ok &= resumed.report().to_json() == full_straight
 
     ok = rerun_ok and resume_ok

@@ -42,17 +42,6 @@ def test_dataset_keeps_long_role_names_intact():
     assert ds.indices(ROLE_VALIDATION).tolist() == [1]
 
 
-def test_dataset_subset_and_copy():
-    ds = FeatureDataset(np.arange(6.0).reshape(3, 2), [{0}, {1}, {2}],
-                        [ROLE_TRAIN, ROLE_QUERY, ROLE_TRAIN])
-    feats, labels = ds.subset(ROLE_TRAIN)
-    np.testing.assert_array_equal(feats, [[0, 1], [4, 5]])
-    assert labels == [frozenset({0}), frozenset({2})]
-    dup = ds.copy()
-    dup.features[0, 0] = 99.0
-    assert ds.features[0, 0] == 0.0
-
-
 # --- synthetic generation ----------------------------------------------------
 
 def test_synthetic_shape_and_labels():

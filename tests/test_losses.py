@@ -5,50 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmhash.errors import InvalidCodeError
-from nmhash.losses import (
-    discrete_hash_loss,
-    relaxed_hash_loss,
-    relaxed_hash_loss_grad,
-)
-from oracles import central_difference, relative_error
+from nmhash.losses import relaxed_hash_loss, relaxed_hash_loss_grad
+from oracles import central_difference, discrete_hash_loss, relative_error
 
 
-# --- discrete loss ----------------------------------------------------------
-
-def test_discrete_single_query_gallery_pair():
-    # antipodal pair marked similar: (b.g - K*1)^2 = (-8 - 8)^2
-    k = 8
-    b = np.ones((1, k))
-    assert discrete_hash_loss(b, [[1]], k, gallery_codes=-b) == 256.0
-
+# --- discrete loss on binary codes --------------------------------------------
 
 def test_discrete_self_mode_counts_ordered_pairs():
-    # the same antipodal pair inside one batch appears as (0,1) and (1,0)
+    # an antipodal pair marked similar appears as (0,1) and (1,0), each
+    # giving (-8 - 8)^2; on binary codes the relaxed loss is the same sum
     k = 8
     codes = np.vstack([np.ones(k), -np.ones(k)])
     s = np.ones((2, 2))
     assert discrete_hash_loss(codes, s, k) == 512.0
+    assert relaxed_hash_loss(codes, s, k, eta=1200.0).total == 512.0
 
 
 def test_discrete_loss_zero_at_perfect_codes():
     codes = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
     s = np.array([[1, 1, -1], [1, 1, -1], [-1, -1, 1]], dtype=float)
     assert discrete_hash_loss(codes, s, 2) == 0.0
-
-
-def test_discrete_loss_rejects_nonbinary_codes():
-    with pytest.raises(InvalidCodeError):
-        discrete_hash_loss([[1.0, 0.0]], [[1]], 2, gallery_codes=[[1, 1]])
-    with pytest.raises(InvalidCodeError):
-        discrete_hash_loss([[1, 1]], [[1]], 2, gallery_codes=[[0.5, 1]])
-
-
-def test_discrete_loss_shape_checks():
-    with pytest.raises(ValueError):
-        discrete_hash_loss([[1, 1]], [[1, 1]], 2)  # S must be 1x1 here
-    with pytest.raises(ValueError):
-        discrete_hash_loss([[1, 1]], [[0]], 2, gallery_codes=[[1, 1]])
+    assert relaxed_hash_loss(codes, s, 2, eta=1200.0).total == 0.0
 
 
 # --- relaxed loss -----------------------------------------------------------
@@ -81,6 +58,13 @@ def test_relaxed_total_combines_terms():
             val.pairwise_term + eta * val.quantization_term)
         assert val.pairwise_term >= 0.0
         assert val.quantization_term >= 0.0
+
+
+def test_relaxed_loss_shape_checks():
+    with pytest.raises(ValueError):
+        relaxed_hash_loss([[1, 1]], [[1, 1]], 2, eta=0.0)  # S must be 1x1
+    with pytest.raises(ValueError):
+        relaxed_hash_loss([[1, 1]], [[0]], 2, eta=0.0)
 
 
 def test_relaxed_rejects_bad_eta_and_nonfinite():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmhash.data import build_similarity
 from nmhash.errors import InvalidCodeError
 from nmhash.merging import score_neurons
 from nmhash.metrics import (
+    _ap_per_query,
     as_code_matrix,
-    average_precision,
-    hamming_distance,
-    label_similarity,
     mean_average_precision,
     pairwise_hamming,
     pr_curve,
@@ -22,7 +21,8 @@ from nmhash.metrics import (
     sign_pm1,
 )
 from oracles import (ap_from_flags, brute_force_map,
-                     brute_force_radius_precision, brute_force_top_n)
+                     brute_force_radius_precision, brute_force_top_n,
+                     code_distance)
 
 pm1_rows = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=6)
 
@@ -69,20 +69,27 @@ def test_code_matrix_accepts_ternary_and_promotes_vectors():
 
 # --- hamming distance ------------------------------------------------------
 
+def _hamming(a, b) -> float:
+    """pairwise_hamming of two code vectors."""
+    d = pairwise_hamming(a, b)
+    assert d.shape == (1, 1)
+    return float(d[0, 0])
+
+
 def test_hamming_identical_and_antipodal():
     a = [1, -1, 1, 1]
-    assert hamming_distance(a, a) == 0.0
-    assert hamming_distance(a, [-v for v in a]) == 4.0
+    assert _hamming(a, a) == 0.0
+    assert _hamming(a, [-v for v in a]) == 4.0
 
 
 def test_hamming_zero_entry_counts_half():
     # (K - a.b)/2 with a zero bit: (2 - 1)/2
-    assert hamming_distance([1, 0], [1, 1]) == 0.5
+    assert _hamming([1, 0], [1, 1]) == 0.5
 
 
 def test_hamming_length_mismatch():
     with pytest.raises(ValueError):
-        hamming_distance([1, 1], [1, 1, 1])
+        pairwise_hamming([1, 1], [1, 1, 1])
 
 
 @given(pm1_rows, st.data())
@@ -90,32 +97,36 @@ def test_hamming_matches_mismatch_count(a, data):
     b = data.draw(st.lists(st.sampled_from([-1, 1]),
                            min_size=len(a), max_size=len(a)))
     expected = sum(1 for x, y in zip(a, b) if x != y)
-    assert hamming_distance(a, b) == expected
-    assert hamming_distance(b, a) == expected
+    assert _hamming(a, b) == expected
+    assert _hamming(b, a) == expected
 
 
 def test_pairwise_hamming_matches_scalar():
+    # every entry equals the bit-by-bit count, 0 entries included
     rng = np.random.default_rng(7)
-    q = np.where(rng.random((4, 5)) < 0.5, -1.0, 1.0)
-    g = np.where(rng.random((6, 5)) < 0.5, -1.0, 1.0)
+    q = rng.choice([-1.0, 0.0, 1.0], size=(4, 5))
+    g = rng.choice([-1.0, 0.0, 1.0], size=(6, 5))
     d = pairwise_hamming(q, g)
     assert d.shape == (4, 6)
     for i in range(4):
         for j in range(6):
-            assert d[i, j] == hamming_distance(q[i], g[j])
+            assert d[i, j] == code_distance(q[i], g[j])
 
 
 # --- label relevance -------------------------------------------------------
 
 def test_label_similarity_hand_cases():
-    assert label_similarity({3}, {3}) == 1
-    assert label_similarity({1, 2}, {2, 9}) == 1
-    assert label_similarity({1}, {2}) == -1
+    # build_similarity is +1 where two label sets share an id, else -1
+    np.testing.assert_array_equal(
+        build_similarity([{3}, {1, 2}, {1}], [{3}, {2, 9}, {2}]),
+        [[1, -1, -1], [-1, 1, 1], [-1, -1, -1]])
 
 
 def test_label_similarity_rejects_empty():
-    with pytest.raises(ValueError):
-        label_similarity(set(), {1})
+    with pytest.raises(ValueError, match="empty label set"):
+        build_similarity([set()], [{1}])
+    with pytest.raises(ValueError, match="empty label set"):
+        build_similarity([{1}], [{1}, set()])
 
 
 def test_relevance_matrix_single_and_multi_label():
@@ -128,29 +139,31 @@ def test_relevance_matrix_single_and_multi_label():
 
 # --- average precision -----------------------------------------------------
 
+def _ap(flags) -> float:
+    """_ap_per_query of one ranked list of 0/1 flags."""
+    return float(_ap_per_query(np.array([flags]))[0])
+
+
 def test_average_precision_hand_values():
     # relevant at ranks 1 and 3: (1/1 + 2/3) / 2
-    assert average_precision([1, 0, 1]) == pytest.approx(5 / 6)
-    assert average_precision([0, 0, 1]) == pytest.approx(1 / 3)
-    assert average_precision([1, 1, 1]) == 1.0
-    assert average_precision([0, 0, 0]) == 0.0
-
-
-def test_average_precision_validates_flags():
-    with pytest.raises(ValueError):
-        average_precision([])
-    with pytest.raises(ValueError):
-        average_precision([0.5, 1.0])
+    assert _ap([1, 0, 1]) == pytest.approx(5 / 6)
+    assert _ap([0, 0, 1]) == pytest.approx(1 / 3)
+    assert _ap([1, 1, 1]) == 1.0
+    assert _ap([0, 0, 0]) == 0.0
+    # one row per query, each scored on its own
+    np.testing.assert_allclose(
+        _ap_per_query(np.array([[1, 0, 1], [0, 0, 1], [0, 0, 0]])),
+        [5 / 6, 1 / 3, 0.0])
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=30))
 def test_average_precision_matches_loop_oracle(flags):
-    assert average_precision(flags) == pytest.approx(ap_from_flags(flags))
+    assert _ap(flags) == pytest.approx(ap_from_flags(flags))
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20))
 def test_average_precision_in_unit_interval(flags):
-    assert 0.0 <= average_precision(flags) <= 1.0
+    assert 0.0 <= _ap(flags) <= 1.0
 
 
 # --- retrieval and MAP -----------------------------------------------------
@@ -299,9 +312,8 @@ _ENTRY_POINTS = {
         lambda q, ql, g, gl: precision_at_top_n(q, ql, g, gl, [1]),
     "score_neurons": lambda q, ql, g, gl: score_neurons(g, gl, q, ql),
     "pairwise_hamming": lambda q, ql, g, gl: pairwise_hamming(q, g),
-    "hamming_distance": lambda q, ql, g, gl: hamming_distance(q[0], g[0]),
 }
-_UNLABELLED = ("pairwise_hamming", "hamming_distance")
+_UNLABELLED = ("pairwise_hamming",)
 
 _BAD_INPUTS = {
     "code length": ((_Q, _QL, [row[:2] for row in _G], _GL),

@@ -9,6 +9,7 @@ import pytest
 import nmhash.training
 from nmhash.data import assign_splits, generate_synthetic
 from nmhash.errors import CheckpointError, ConfigError
+from nmhash.merging import score_neurons
 from nmhash.network import SgdConfig
 from nmhash.training import (
     CHECKPOINT_MAGIC,
@@ -16,10 +17,7 @@ from nmhash.training import (
     ExperimentConfig,
     RunReport,
     TrainingRun,
-    leave_one_out,
     load_checkpoint,
-    resume_training,
-    run_variant,
     save_checkpoint,
 )
 
@@ -232,17 +230,17 @@ def test_random_variant_merges_without_active_epochs(dataset):
 
 
 def test_same_seed_reports_are_byte_identical(dataset):
-    a = run_variant(small_config(), dataset)
-    b = run_variant(small_config(), dataset)
+    a = TrainingRun(small_config(), dataset).run().report()
+    b = TrainingRun(small_config(), dataset).run().report()
     assert a.to_json() == b.to_json()
-    c = run_variant(small_config(variant="random"), dataset)
-    d = run_variant(small_config(variant="random"), dataset)
+    c = TrainingRun(small_config(variant="random"), dataset).run().report()
+    d = TrainingRun(small_config(variant="random"), dataset).run().report()
     assert c.to_json() == d.to_json()
 
 
 def test_different_seed_changes_the_run(dataset):
-    a = run_variant(small_config(), dataset)
-    b = run_variant(small_config(seed=4), dataset)
+    a = TrainingRun(small_config(), dataset).run().report()
+    b = TrainingRun(small_config(seed=4), dataset).run().report()
     assert a.to_json() != b.to_json()
 
 
@@ -257,7 +255,7 @@ def test_report_requires_finished_run(dataset):
 
 
 def test_report_json_round_trip(dataset):
-    report = run_variant(small_config(), dataset)
+    report = TrainingRun(small_config(), dataset).run().report()
     back = RunReport.from_json(report.to_json())
     assert back.to_json() == report.to_json()
 
@@ -277,12 +275,12 @@ def test_report_rejects_unknown_schema():
 def test_report_names_a_missing_key(dataset):
     with pytest.raises(ValueError, match="'variant'"):
         RunReport.from_dict({"schema_version": 1})
-    d = run_variant(small_config(), dataset).to_dict()
+    d = TrainingRun(small_config(), dataset).run().report().to_dict()
     del d["final"]
     with pytest.raises(ValueError, match="'final'"):
         RunReport.from_dict(d)
     # selected_bits is optional: reports without it load as None
-    d = run_variant(small_config(), dataset).to_dict()
+    d = TrainingRun(small_config(), dataset).run().report().to_dict()
     del d["selected_bits"]
     assert RunReport.from_dict(d).selected_bits is None
 
@@ -294,10 +292,12 @@ def test_profile_matches_report(dataset):
     split = assign_splits(dataset, 24, 24, seed=9)
     run = TrainingRun(small_config(), split).run()
     report = run.report()
-    p, std = leave_one_out(*run.codes("query"), *run.codes("gallery"))
+    q, q_labels = run.codes("query")
+    g, g_labels = run.codes("gallery")
+    p = score_neurons(g, g_labels, q, q_labels)
     assert p.shape == (6,)
     np.testing.assert_array_equal(p, report.leave_one_out["map_without_bit"])
-    assert std == report.leave_one_out["std"]
+    assert float(p.std()) == report.leave_one_out["std"]
 
 
 def test_profile_needs_two_groups(dataset):
@@ -306,8 +306,10 @@ def test_profile_needs_two_groups(dataset):
         small_config(variant="baseline", b_in=1, b_out=1, base_epochs=1),
         split).run()
     assert run.report().leave_one_out is None
+    q, q_labels = run.codes("query")
+    g, g_labels = run.codes("gallery")
     with pytest.raises(ConfigError, match="at least 2 effective bits"):
-        leave_one_out(*run.codes("query"), *run.codes("gallery"))
+        score_neurons(g, g_labels, q, q_labels)
 
 
 def test_validation_split_required_for_scoring_variants(dataset):
@@ -438,12 +440,13 @@ def test_resume_rejects_another_dataset(tmp_path, dataset):
     save_checkpoint(run.to_checkpoint(), path)
     other = generate_synthetic(4, 8, 60, 2.0, seed=9)  # same shape
     with pytest.raises(CheckpointError, match="different dataset"):
-        resume_training(load_checkpoint(path), other)
+        TrainingRun.from_checkpoint(load_checkpoint(path), other)
     # same features and labels under other splits are another dataset too
     resplit = assign_splits(dataset, 24, 24, seed=1)
     with pytest.raises(CheckpointError, match="different dataset"):
-        resume_training(load_checkpoint(path), resplit)
-    assert resume_training(load_checkpoint(path), dataset).done
+        TrainingRun.from_checkpoint(load_checkpoint(path), resplit)
+    assert TrainingRun.from_checkpoint(load_checkpoint(path), dataset) \
+        .run().done
 
 
 @pytest.mark.parametrize("stop", [0, 1, 3, 5])
@@ -456,7 +459,8 @@ def test_resume_matches_uninterrupted_run(tmp_path, dataset, stop):
     first = TrainingRun(small_config(), dataset).run(stop_after=stop)
     path = tmp_path / f"stop{stop}.ckpt"
     save_checkpoint(first.to_checkpoint(), path)
-    resumed = resume_training(load_checkpoint(path), dataset)
+    resumed = TrainingRun.from_checkpoint(load_checkpoint(path),
+                                          dataset).run()
     assert resumed.done
     assert resumed.report().to_json() == expected
     for wa, wb in zip(resumed.net.weights, straight.net.weights):
@@ -476,7 +480,8 @@ def test_resume_at_every_epoch_matches_for_each_variant(tmp_path, dataset,
         first = TrainingRun(cfg, dataset).run(stop_after=stop)
         path = tmp_path / f"{variant}{stop}.ckpt"
         save_checkpoint(first.to_checkpoint(), path)
-        resumed = resume_training(load_checkpoint(path), dataset)
+        resumed = TrainingRun.from_checkpoint(load_checkpoint(path),
+                                              dataset).run()
         assert resumed.report().to_json() == expected, f"stop={stop}"
 
 
@@ -485,10 +490,11 @@ def test_resume_in_two_hops_matches(tmp_path, dataset):
     expected = TrainingRun(cfg, dataset).run().report().to_json()
     hop1 = TrainingRun(small_config(), dataset).run(stop_after=2)
     save_checkpoint(hop1.to_checkpoint(), tmp_path / "a.ckpt")
-    hop2 = resume_training(load_checkpoint(tmp_path / "a.ckpt"), dataset,
-                           stop_after=4)
+    hop2 = TrainingRun.from_checkpoint(load_checkpoint(tmp_path / "a.ckpt"),
+                                       dataset).run(stop_after=4)
     save_checkpoint(hop2.to_checkpoint(), tmp_path / "b.ckpt")
-    final = resume_training(load_checkpoint(tmp_path / "b.ckpt"), dataset)
+    final = TrainingRun.from_checkpoint(load_checkpoint(tmp_path / "b.ckpt"),
+                                        dataset).run()
     assert final.report().to_json() == expected
 
 
@@ -499,8 +505,8 @@ def test_in_memory_checkpoint_is_a_snapshot(dataset):
     original = TrainingRun(small_config(), dataset).run(stop_after=3)
     ckpt = original.to_checkpoint()
     assert original.run().report().to_json() == expected
-    first = resume_training(ckpt, dataset)
-    second = resume_training(ckpt, dataset)
+    first = TrainingRun.from_checkpoint(ckpt, dataset).run()
+    second = TrainingRun.from_checkpoint(ckpt, dataset).run()
     assert first.report().to_json() == expected
     assert second.report().to_json() == expected
 
