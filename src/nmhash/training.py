@@ -63,6 +63,10 @@ _STAGE_SCORE = "score"
 _STAGE_FC = "fc"
 _STAGE_DONE = "done"
 
+# the per-epoch loss lists of a merge round, in the order a round lists them
+_ROUND_LOGS = ("active_loss_per_epoch", "hash_loss_per_epoch",
+               "frozen_loss_per_epoch")
+
 
 def _matches(value, kind) -> bool:
     """Whether a decoded JSON value fits a declared type.
@@ -359,14 +363,18 @@ def load_checkpoint(path) -> Checkpoint:
         )
     try:
         cfg = ExperimentConfig.from_dict(body["config"])
-        net_d = body["net"]
+        net_d, graph_d = body["net"], body["graph"]
+        for name, section in (("net", net_d), ("graph", graph_d)):
+            if not isinstance(section, dict):
+                raise CheckpointError(f"checkpoint's {name!r} section must "
+                                      "be an object")
         net = HashNet(tuple(net_d["layer_dims"]),
                       [_decode_array(w, "net.weights")
                        for w in net_d["weights"]],
                       [_decode_array(b, "net.biases") for b in net_d["biases"]],
                       net_d["hidden_activation"])
-        graph = MergeGraph.from_partition(body["graph"]["n_nodes"],
-                                          body["graph"]["groups"])
+        graph = MergeGraph.from_partition(graph_d["n_nodes"],
+                                          graph_d["groups"])
         return Checkpoint(cfg, net, graph, body["counters"],
                           body["rng_state"], body["progress"],
                           body["dataset_sha256"])
@@ -466,7 +474,12 @@ class TrainingRun:
         self.net = ckpt.net.copy()
         self.graph = ckpt.graph
         self.rng = np.random.default_rng()
-        self.rng.bit_generator.state = ckpt.rng_state
+        try:
+            self.rng.bit_generator.state = ckpt.rng_state
+        except (KeyError, TypeError, ValueError):
+            raise CheckpointError("checkpoint's 'rng_state' is not a "
+                                  f"{type(self.rng.bit_generator).__name__} "
+                                  "state") from None
         for name, (section, kind, fresh) in _STATE.items():
             value, where = sections[section][name], f"{section}.{name}"
             if value is None and fresh is None:
@@ -486,6 +499,16 @@ class TrainingRun:
         if run.stage not in (*run._stages(), _STAGE_DONE):
             raise CheckpointError(f"checkpoint has unknown stage "
                                   f"{run.stage!r}")
+        if run.stage != _STAGE_BASE and run.base_map is None:
+            raise CheckpointError(f"checkpoint's progress.base_map is null "
+                                  f"in stage {run.stage!r}")
+        if run.stage in (_STAGE_ACTIVE, _STAGE_FROZEN) and not (
+                isinstance(run.current_round, dict) and all(
+                    isinstance(run.current_round.get(log), list)
+                    for log in _ROUND_LOGS)):
+            raise CheckpointError(
+                f"checkpoint's progress.current_round must hold the lists "
+                f"{list(_ROUND_LOGS)} in stage {run.stage!r}")
         if run._dataset_sha256() != ckpt.dataset_sha256:
             raise CheckpointError(
                 "checkpoint was written for a different dataset: features, "
@@ -591,9 +614,7 @@ class TrainingRun:
         self.round_index += 1
         k = self.graph.n_groups
         self.current_round = {"round": self.round_index, "bits_before": k,
-                              "active_loss_per_epoch": [],
-                              "hash_loss_per_epoch": [],
-                              "frozen_loss_per_epoch": []}
+                              **{log: [] for log in _ROUND_LOGS}}
         if self.cfg.variant == VARIANT_FULL:
             self.round_adjacency = np.zeros((k, k))
             self._val_codes_cache = None

@@ -266,8 +266,12 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
      "counters.global_epoch must be int, got str"),
     (lambda b: b["progress"].update(round_adjacency={}),
      "progress.round_adjacency must be a float64 array"),
+    (lambda b: b.update(net="x"), "'net' section must be an object"),
+    (lambda b: b.update(graph="x"), "'graph' section must be an object"),
+    (lambda b: b.update(rng_state="x"), "'rng_state' is not a PCG64 state"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage",
-        "str-global-epoch", "empty-adjacency-object"])
+        "str-global-epoch", "empty-adjacency-object", "str-net", "str-graph",
+        "str-rng-state"])
 def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):

@@ -400,9 +400,20 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
             cases += [(section, key, deleted),
                       (section, key, {**getattr(ckpt, section), key: "x"})]
     assert len(cases) == 30
+    # entries of the right type that do not fit the stage: after the base
+    # stage base_map is set, and an active round lists its losses
+    progress = ckpt.progress
+    cases.append(("progress", "base_map", {**progress, "base_map": None}))
+    rounds = [None, {}]
+    for log in ("active_loss_per_epoch", "hash_loss_per_epoch",
+                "frozen_loss_per_epoch"):
+        rounds.append({k: v for k, v in progress["current_round"].items()
+                       if k != log})
+    cases += [("progress", "current_round", {**progress, "current_round": r})
+              for r in rounds]
     for section, key, edited in cases:
         bad = dataclasses.replace(ckpt, **{section: edited})
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=key):
             TrainingRun.from_checkpoint(bad, dataset)
     # the unedited checkpoint still resumes
     assert TrainingRun.from_checkpoint(ckpt, dataset).run().done
