@@ -6,10 +6,14 @@ two phases:
 * Active: every current group is one node and the round learns a
   symmetric adjacency matrix A over those nodes.  Per minibatch, each bit k
   gets a score p_k (the retrieval MAP with bit k deleted, so redundant bits
-  score high), scores diffuse one step along A, and A descends the pairwise
-  score-gap loss sum_{i != j} |p'_i - p'_j|.  Bits whose scores the
-  diffusion can equalize cheaply end up strongly connected.  A is a plain
-  array; the caller owns it.
+  score high), the scores diffuse one step along A to p', and A takes one
+  step of active_grad, the pair terms of the score-gap loss
+  sum_{i != j} |p'_i - p'_j|.  That step raises A_ij by
+  nm_learning_rate * |p_i - p_j| while p' keeps the order of p_i and p_j
+  (always from A = 0, where p' = p) and lowers it by as much where p' has
+  reversed that order; bits with equal scores get no change.  So an edge
+  grows with the gap between two bits' scores, not with their likeness.
+  A is a plain array; the caller owns it.
 
 * Frozen: the top-m adjacency entries are kept and their connected
   components become merge groups (truncate).  During training each group
@@ -123,6 +127,11 @@ def active_grad(scores, propagated) -> np.ndarray:
     For i < j:  dA_ij = dA_ji = sign(p'_i - p'_j) * (p_j - p_i), with
     sign(0) = +1.  Cross-pair dependencies through the diffusion are
     ignored on purpose; this is the update rule the layer is defined by.
+
+    A step A - lr * dA therefore raises A_ij by lr * |p_i - p_j| where
+    p' keeps the order of p_i and p_j (everywhere at A = 0, where the
+    gradient is exactly -|p_i - p_j|) and lowers it by as much where p'
+    reverses that order.  Equal scores p_i == p_j give exactly 0.
     """
     p = np.asarray(scores, dtype=np.float64).ravel()
     pp = np.asarray(propagated, dtype=np.float64).ravel()

@@ -154,13 +154,26 @@ def test_active_grad_hand_value():
 
 
 def test_active_grad_negative_off_ties():
-    # at A = 0 the rule reduces to -|p_i - p_j|: merging pressure only
+    # at A = 0 the rule reduces to -|p_i - p_j|, so one step from zero
+    # raises each edge by exactly nm_learning_rate * |p_i - p_j|
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = rng.random(int(rng.integers(2, 7)))
         da = active_grad(p, p)
         off = da[np.triu_indices(p.size, 1)]
         assert (off <= 0).all()
+        gaps = np.abs(p[:, None] - p[None, :])
+        assert np.array_equal(da, -gaps)
+        lr = float(rng.uniform(1e-3, 1.0))
+        zeros = np.zeros((p.size, p.size))
+        assert np.array_equal(apply_active_step(zeros, da, lr), lr * gaps)
+    # equal scores get no gradient, from A = 0 and after a diffusion step
+    p = np.array([0.4, 0.7, 0.4, 0.1, 0.7])
+    tied = np.abs(p[:, None] - p[None, :]) == 0
+    for a in (np.zeros((5, 5)), _random_symmetric(5, rng)):
+        da = active_grad(p, propagate_scores(p, a))
+        assert np.array_equal(da[tied], np.zeros(tied.sum()))
+        assert (da[~tied] != 0).all()
 
 
 def test_active_grad_matches_pair_term_finite_difference():
