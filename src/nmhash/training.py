@@ -476,7 +476,7 @@ class TrainingRun:
         self.rng = np.random.default_rng()
         try:
             self.rng.bit_generator.state = ckpt.rng_state
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, OverflowError, TypeError, ValueError):
             raise CheckpointError("checkpoint's 'rng_state' is not a "
                                   f"{type(self.rng.bit_generator).__name__} "
                                   "state") from None

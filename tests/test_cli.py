@@ -269,9 +269,11 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     (lambda b: b.update(net="x"), "'net' section must be an object"),
     (lambda b: b.update(graph="x"), "'graph' section must be an object"),
     (lambda b: b.update(rng_state="x"), "'rng_state' is not a PCG64 state"),
+    (lambda b: b["rng_state"].update(uinteger=-1),
+     "'rng_state' is not a PCG64 state"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage",
         "str-global-epoch", "empty-adjacency-object", "str-net", "str-graph",
-        "str-rng-state"])
+        "str-rng-state", "negative-rng-state-entry"])
 def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):
