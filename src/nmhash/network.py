@@ -49,6 +49,13 @@ class HashNet:
     biases: list[np.ndarray] = field(repr=False)
     hidden_activation: str = "tanh"
 
+    def __post_init__(self):
+        dims = self.layer_dims
+        pairs = list(zip(dims, dims[1:]))
+        if not pairs or list(map(np.shape, self.weights)) != pairs \
+                or list(map(np.shape, self.biases)) != [p[1:] for p in pairs]:
+            raise ValueError(f"weights and biases do not fit layer_dims {dims}")
+
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
@@ -60,12 +67,6 @@ class HashNet:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    def copy(self) -> "HashNet":
-        return HashNet(tuple(self.layer_dims),
-                       [w.copy() for w in self.weights],
-                       [b.copy() for b in self.biases],
-                       self.hidden_activation)
 
 
 def init_network(layer_dims, seed) -> HashNet:

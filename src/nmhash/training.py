@@ -73,11 +73,14 @@ def _matches(value, kind) -> bool:
 
     An int passes as a float, a bool as neither, and a list as a tuple.
     """
-    if typing.get_origin(kind) is tuple:
-        return isinstance(value, (list, tuple)) \
-            and all(_matches(v, typing.get_args(kind)[0]) for v in value)
-    if typing.get_args(kind):  # a union such as int | None
-        return any(_matches(value, k) for k in typing.get_args(kind))
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (list, tuple):
+        n = len(value) if isinstance(value, (list, tuple)) else -1
+        if origin is list or Ellipsis in args:  # else a fixed-length tuple
+            args = args[:1] * n
+        return len(args) == n and all(map(_matches, value, args))
+    if args:  # a union such as int | None
+        return any(_matches(value, k) for k in args)
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
@@ -265,31 +268,32 @@ _STATE = {
     "round_index": ("counters", int, 0),
     "epoch_in_stage": ("counters", int, 0),
     "global_epoch": ("counters", int, 0),
-    "base_loss_per_epoch": ("progress", list, []),
+    "base_loss_per_epoch": ("progress", list[float], []),
     "base_map": ("progress", float, None),
     "rounds_done": ("progress", list, []),
     "current_round": ("progress", dict, None),
-    "bit_trace": ("progress", list, []),
+    "bit_trace": ("progress", list[tuple[int, float]], []),
     "round_adjacency": ("progress", np.ndarray, None),
     "score_sum": ("progress", np.ndarray, None),
     "score_batches": ("progress", int, 0),
     "fc_w": ("progress", np.ndarray, None),
     "fc_b": ("progress", np.ndarray, None),
-    "selected_bits": ("progress", list, None),
+    "selected_bits": ("progress", list[int], None),
 }
 
 
 @dataclass
 class Checkpoint:
-    """Resumable snapshot of a run at an epoch boundary.
+    """Resumable snapshot of a run at an epoch boundary: the checkpoint
+    file's sections as JSON values, arrays base64-encoded.
 
     dataset_sha256 fingerprints the run's standardized features, label sets
     and splits; a run restores only against the dataset it was written for.
     """
 
-    config: ExperimentConfig
-    net: HashNet
-    graph: MergeGraph
+    config: dict
+    net: dict
+    graph: dict
     counters: dict
     rng_state: dict
     progress: dict
@@ -315,33 +319,30 @@ def _decode_array(d, where: str) -> np.ndarray:
                           "an object with a 'shape' list and base64 'data'")
 
 
+def _decoded(name: str, section, build):
+    """build(section), or a CheckpointError naming the section."""
+    try:
+        if isinstance(section, dict):
+            return build(section)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint's {name!r} section is malformed "
+                              f"({type(exc).__name__}: {exc})") from None
+    raise CheckpointError(f"checkpoint's {name!r} section must be an object")
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write magic line + JSON body; float buffers are base64, bit-exact."""
-    body = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": ckpt.config.to_dict(),
-        "net": {
-            "layer_dims": list(ckpt.net.layer_dims),
-            "hidden_activation": ckpt.net.hidden_activation,
-            "weights": [_encode_array(w) for w in ckpt.net.weights],
-            "biases": [_encode_array(b) for b in ckpt.net.biases],
-        },
-        "graph": {
-            "n_nodes": ckpt.graph.n_nodes,
-            "groups": [list(map(int, g)) for g in ckpt.graph.groups],
-        },
-        "counters": ckpt.counters,
-        "rng_state": ckpt.rng_state,
-        "progress": ckpt.progress,
-        "dataset_sha256": ckpt.dataset_sha256,
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
-        json.dump(body, fh, sort_keys=True)
+        json.dump({"format_version": CHECKPOINT_VERSION, **asdict(ckpt)}, fh,
+                  sort_keys=True)
         fh.write("\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The file's sections; TrainingRun.from_checkpoint checks them."""
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\r\n")
         if magic != CHECKPOINT_MAGIC:
@@ -361,26 +362,11 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported checkpoint version {version!r} "
             f"(this build reads {CHECKPOINT_VERSION})"
         )
-    try:
-        cfg = ExperimentConfig.from_dict(body["config"])
-        net_d, graph_d = body["net"], body["graph"]
-        for name, section in (("net", net_d), ("graph", graph_d)):
-            if not isinstance(section, dict):
-                raise CheckpointError(f"checkpoint's {name!r} section must "
-                                      "be an object")
-        net = HashNet(tuple(net_d["layer_dims"]),
-                      [_decode_array(w, "net.weights")
-                       for w in net_d["weights"]],
-                      [_decode_array(b, "net.biases") for b in net_d["biases"]],
-                      net_d["hidden_activation"])
-        graph = MergeGraph.from_partition(graph_d["n_nodes"],
-                                          graph_d["groups"])
-        return Checkpoint(cfg, net, graph, body["counters"],
-                          body["rng_state"], body["progress"],
-                          body["dataset_sha256"])
-    except KeyError as exc:
-        raise CheckpointError(
-            f"checkpoint is missing its {exc.args[0]!r} section") from None
+    for f in fields(Checkpoint):
+        if f.name not in body:
+            raise CheckpointError(
+                f"checkpoint is missing its {f.name!r} section")
+    return Checkpoint(**{f.name: body[f.name] for f in fields(Checkpoint)})
 
 
 def _singletons(n: int) -> MergeGraph:
@@ -450,7 +436,13 @@ class TrainingRun:
                 value = _encode_array(value)
             # copies: the run keeps appending to its round records
             sections[section][name] = copy.deepcopy(value)
-        return Checkpoint(self.cfg, self.net.copy(), self.graph,
+        net = {"layer_dims": list(self.net.layer_dims),
+               "hidden_activation": self.net.hidden_activation,
+               "weights": [_encode_array(w) for w in self.net.weights],
+               "biases": [_encode_array(b) for b in self.net.biases]}
+        graph = {"n_nodes": self.graph.n_nodes,
+                 "groups": [list(g) for g in self.graph.groups]}
+        return Checkpoint(self.cfg.to_dict(), net, graph,
                           sections["counters"], self.rng.bit_generator.state,
                           sections["progress"], self._dataset_sha256())
 
@@ -471,8 +463,12 @@ class TrainingRun:
                 raise CheckpointError(
                     f"checkpoint's {section!r} section must hold exactly "
                     f"the entries {sorted(keys)}")
-        self.net = ckpt.net.copy()
-        self.graph = ckpt.graph
+        self.net = _decoded("net", ckpt.net, lambda d: HashNet(
+            tuple(d["layer_dims"]),
+            [_decode_array(w, "net.weights") for w in d["weights"]],
+            [_decode_array(b, "net.biases") for b in d["biases"]],
+            d["hidden_activation"]))
+        self.graph = _decoded("graph", ckpt.graph, lambda d: MergeGraph(**d))
         self.rng = np.random.default_rng()
         try:
             self.rng.bit_generator.state = ckpt.rng_state
@@ -488,14 +484,16 @@ class TrainingRun:
                 value = _decode_array(value, where)
             elif not _matches(value, kind):
                 raise CheckpointError(
-                    f"checkpoint's {where} must be {kind.__name__}, "
+                    f"checkpoint's {where} must be "
+                    f"{kind if typing.get_args(kind) else kind.__name__}, "
                     f"got {type(value).__name__}")
             setattr(self, name, copy.deepcopy(value))
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint,
                         dataset: FeatureDataset) -> "TrainingRun":
-        run = cls(ckpt.config, dataset, _restore=ckpt)
+        run = cls(ExperimentConfig.from_dict(ckpt.config), dataset,
+                  _restore=ckpt)
         if run.stage not in (*run._stages(), _STAGE_DONE):
             raise CheckpointError(f"checkpoint has unknown stage "
                                   f"{run.stage!r}")

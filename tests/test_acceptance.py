@@ -15,6 +15,7 @@ over up to batch_size^2 pairs with eta 1200).
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
+import copy
 import itertools
 import statistics
 import time
@@ -104,7 +105,7 @@ def _flat_params(net):
 
 
 def _with_params(template, flat):
-    net = template.copy()
+    net = copy.deepcopy(template)
     pos = 0
     for w in net.weights:
         w[...] = flat[pos:pos + w.size].reshape(w.shape)

@@ -1,6 +1,10 @@
 """Command-line interface: all six subcommands, config precedence, errors."""
 
+import copy
+import functools
+import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -12,8 +16,9 @@ import nmhash
 from nmhash.cli import (_CONFIG_PARSERS, build_experiment_config,
                         build_parser, main, read_config_file)
 from nmhash.data import load_features
-from nmhash.errors import ConfigError
-from nmhash.training import CHECKPOINT_MAGIC, RunReport
+from nmhash.errors import ConfigError, NmhashError
+from nmhash.training import (CHECKPOINT_MAGIC, RunReport, TrainingRun,
+                             load_checkpoint, save_checkpoint)
 
 TRAIN_FLAGS = ["--b-in", "8", "--b-out", "6", "--m", "2",
                "--base-epochs", "2", "--n0", "2", "--n1", "2",
@@ -271,9 +276,25 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     (lambda b: b.update(rng_state="x"), "'rng_state' is not a PCG64 state"),
     (lambda b: b["rng_state"].update(uinteger=-1),
      "'rng_state' is not a PCG64 state"),
+    (lambda b: b["graph"].update(groups=None),
+     "'graph' section is malformed"),
+    (lambda b: b["graph"].update(n_nodes="x"),
+     "'graph' section is malformed"),
+    (lambda b: b["net"].update(layer_dims=None), "'net' section is malformed"),
+    (lambda b: b["net"].update(weights=None), "'net' section is malformed"),
+    (lambda b: b["net"].update(biases=None), "'net' section is malformed"),
+    (lambda b: b["net"]["weights"][0]["shape"].reverse(),
+     "weights and biases do not fit layer_dims"),
+    (lambda b: b["progress"]["bit_trace"].__setitem__(0, None),
+     "progress.bit_trace must be list[tuple[int, float]], got list"),
+    (lambda b: b["progress"]["base_loss_per_epoch"].__setitem__(0, None),
+     "progress.base_loss_per_epoch must be list[float], got list"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage",
         "str-global-epoch", "empty-adjacency-object", "str-net", "str-graph",
-        "str-rng-state", "negative-rng-state-entry"])
+        "str-rng-state", "negative-rng-state-entry", "null-graph-groups",
+        "str-graph-n-nodes", "null-net-layer-dims", "null-net-weights",
+        "null-net-biases", "transposed-weight", "null-bit-trace-item",
+        "null-base-loss-item"])
 def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):
@@ -281,6 +302,62 @@ def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
     assert main(["evaluate", "--checkpoint", str(ckpt),
                  "--data", str(trained["data"])]) == 1
     assert message in _err_line(capsys)
+
+
+def _key_paths(value, path=()):
+    """Every key path inside a JSON value, each parent before its children."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def test_mutation_walk_never_ends_in_a_traceback(data_file, tmp_path,
+                                                 capsys):
+    # a mid-active checkpoint holds every kind of entry; the config
+    # section is left out, as its checks have tests of their own
+    args = build_parser().parse_args(["train", "--data", str(data_file),
+                                      *TRAIN_FLAGS])
+    dataset = load_features(data_file)
+    run = TrainingRun(build_experiment_config(args), dataset).run(
+        stop_after=3)
+    assert run.stage == "active"
+    source = tmp_path / "mid.ckpt"
+    save_checkpoint(run.to_checkpoint(), source)
+    body = json.loads(source.read_text().split("\n", 1)[1])
+    paths = [p for p in _key_paths(body) if p[0] != "config"]
+    assert {p[0] for p in paths} == set(body) - {"config"}
+    delete = object()
+    for path, value in itertools.product(paths,
+                                         (delete, "x", None, {}, [], -1)):
+        case = ".".join(map(str, path)) + (
+            " deleted" if value is delete else f" = {value!r}")
+        edited = copy.deepcopy(body)
+        *parents, last = path
+        target = functools.reduce(operator.getitem, parents, edited)
+        if value is delete:
+            del target[last]
+        else:
+            target[last] = value
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_text(CHECKPOINT_MAGIC + "\n" + json.dumps(edited) + "\n")
+        try:
+            rc = main(["evaluate", "--checkpoint", str(ckpt),
+                       "--data", str(data_file)])
+            # evaluate accepted it, so resuming must finish or fail the
+            # way main reports in one line
+            if rc == 0:
+                try:
+                    TrainingRun.from_checkpoint(load_checkpoint(ckpt),
+                                                dataset).run().report()
+                except (NmhashError, ValueError):
+                    pass
+        except Exception as exc:  # name the case in the failure
+            raise AssertionError(f"{case} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert rc == 0 or err.startswith("error: ") \
+            and err.count("\n") == 1, case
 
 
 def test_evaluate_rejects_wrong_typed_config_value(trained, tmp_path,

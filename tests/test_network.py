@@ -1,5 +1,7 @@
 """Encoder network: init, forward/backward, dropout, SGD update rule."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -46,11 +48,17 @@ def test_init_rejects_bad_dims():
         init_network([5, 0, 3], seed=0)
 
 
-def test_copy_is_deep():
+def test_net_refuses_arrays_that_do_not_fit_layer_dims():
     net = init_network([3, 4, 2], seed=0)
-    dup = net.copy()
-    dup.weights[0][0, 0] += 1.0
-    assert net.weights[0][0, 0] != dup.weights[0][0, 0]
+    w, b = net.weights, net.biases
+    for dims, weights, biases in [
+            ((3, 4, 2), [w[0].T, w[1]], b),
+            ((3, 4, 2), w, [b[0], b[0]]),
+            ((3, 4, 2), w[:1], b[:1]),
+            ((3, 4), w, b),
+            ((3,), [], [])]:
+        with pytest.raises(ValueError, match="do not fit layer_dims"):
+            HashNet(dims, weights, biases)
 
 
 # --- forward pass -----------------------------------------------------------
@@ -143,7 +151,7 @@ def _flatten_params(net):
 
 
 def _net_with_params(template, flat):
-    net = template.copy()
+    net = copy.deepcopy(template)
     pos = 0
     for w in net.weights:
         w[...] = flat[pos:pos + w.size].reshape(w.shape)
@@ -218,7 +226,7 @@ def test_sgd_decay_only_hand_value():
 
 def test_sgd_zero_grad_zero_decay_is_identity():
     net = init_network([3, 4, 2], seed=9)
-    ref = net.copy()
+    ref = copy.deepcopy(net)
     zero = [(np.zeros_like(w), np.zeros_like(b))
             for w, b in zip(net.weights, net.biases)]
     sgd_step(net, zero, SgdConfig(learning_rate=0.5, weight_decay=0.0))

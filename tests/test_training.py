@@ -327,19 +327,12 @@ def test_checkpoint_file_round_trip(tmp_path, dataset):
     ckpt = run.to_checkpoint()
     path = tmp_path / "run.ckpt"
     save_checkpoint(ckpt, path)
-    back = load_checkpoint(path)
-    assert back.config == ckpt.config
-    assert back.counters == ckpt.counters
-    assert back.rng_state == ckpt.rng_state
-    for wa, wb in zip(back.net.weights, ckpt.net.weights):
-        np.testing.assert_array_equal(wa, wb)
-    assert back.graph.n_nodes == ckpt.graph.n_nodes
-    assert back.graph.groups == ckpt.graph.groups
-    np.testing.assert_array_equal(back.graph.membership, ckpt.graph.membership)
-    assert back.dataset_sha256 == ckpt.dataset_sha256
-    # progress is pure JSON types (arrays ride base64-encoded), so plain
-    # equality is the bit-exact comparison
-    assert back.progress == ckpt.progress
+    # every section is pure JSON types (arrays ride base64-encoded), so
+    # plain equality is the bit-exact comparison of all of them
+    assert load_checkpoint(path) == ckpt
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(load_checkpoint(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
