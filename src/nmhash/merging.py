@@ -165,22 +165,6 @@ def _ranked_pairs(adjacency):
     return pairs
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def groups_after_truncation(adjacency, m: int) -> list[list[int]]:
     """Connected components after keeping only the m largest edges.
 
@@ -192,12 +176,14 @@ def groups_after_truncation(adjacency, m: int) -> list[list[int]]:
     max_edges = n * (n - 1) // 2
     if not 0 <= m <= max_edges:
         raise ValueError(f"m must be in [0, {max_edges}], got {m}")
-    uf = _UnionFind(n)
+    # each node -> the smallest node of its component
+    first = list(range(n))
     for i, j in _ranked_pairs(a)[:m]:
-        uf.union(i, j)
+        joined = (first[i], first[j])
+        first = [min(joined) if f in joined else f for f in first]
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+        groups.setdefault(first[i], []).append(i)
     return _sorted_groups(groups.values())
 
 

@@ -1,9 +1,9 @@
 """Feedforward hashing encoder with explicit forward and backward passes.
 
 The network is a stack of affine layers; every layer except the last is
-followed by an elementwise nonlinearity.  The final layer is pure affine
-and its width is the code length: codes are recovered as the sign of the
-outputs.  All arithmetic is float64.
+followed by tanh.  The final layer is pure affine and its width is the
+code length: codes are recovered as the sign of the outputs.  All
+arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-
-ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass
@@ -40,14 +38,13 @@ class HashNet:
     """Parameters of the encoder.
 
     weights[l] has shape (layer_dims[l], layer_dims[l+1]); biases[l] has
-    shape (layer_dims[l+1],).  hidden_activation applies after every layer
-    except the last.
+    shape (layer_dims[l+1],).  tanh applies after every layer except the
+    last.
     """
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
-    hidden_activation: str = "tanh"
 
     def __post_init__(self):
         dims = self.layer_dims
@@ -88,21 +85,6 @@ def init_network(layer_dims, seed) -> HashNet:
     return HashNet(dims, weights, biases)
 
 
-def _activate(z, kind):
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    raise ConfigError(f"unknown activation {kind!r}; expected {ACTIVATIONS}")
-
-
-def _activation_grad(h, kind):
-    # derivative expressed through the activation value itself
-    if kind == "tanh":
-        return 1.0 - h ** 2
-    return (h > 0.0).astype(np.float64)
-
-
 def forward(net: HashNet, batch, dropout_rate: float = 0.0, rng=None):
     """Run a batch through the encoder; returns (outputs, cache).
 
@@ -131,7 +113,7 @@ def forward(net: HashNet, batch, dropout_rate: float = 0.0, rng=None):
     h = x
     for layer in range(net.n_layers - 1):
         z = h @ net.weights[layer] + net.biases[layer]
-        h = _activate(z, net.hidden_activation)
+        h = np.tanh(z)
         hidden_acts.append(h)
         if dropout_rate > 0.0 and layer == net.n_layers - 2:
             keep = 1.0 - dropout_rate
@@ -163,7 +145,8 @@ def backward(net: HashNet, cache, d_outputs) -> list[tuple[np.ndarray, np.ndarra
         if cache["masks"][layer - 1] is not None:
             da = da * cache["masks"][layer - 1]
         h = cache["hidden_acts"][layer - 1]
-        d = da * _activation_grad(h, net.hidden_activation)
+        # tanh' expressed through the activation value itself
+        d = da * (1.0 - h ** 2)
     return grads
 
 

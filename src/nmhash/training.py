@@ -406,8 +406,6 @@ class TrainingRun:
         self.labels = ds.labels
 
         width = cfg.encoder_width()
-        self.width = width
-
         if _restore is None:
             self.net = init_network(
                 (ds.dim, *cfg.hidden_dims, width), s_init)
@@ -437,7 +435,7 @@ class TrainingRun:
             # copies: the run keeps appending to its round records
             sections[section][name] = copy.deepcopy(value)
         net = {"layer_dims": list(self.net.layer_dims),
-               "hidden_activation": self.net.hidden_activation,
+               "hidden_activation": "tanh",
                "weights": [_encode_array(w) for w in self.net.weights],
                "biases": [_encode_array(b) for b in self.net.biases]}
         graph = {"n_nodes": self.graph.n_nodes,
@@ -466,8 +464,10 @@ class TrainingRun:
         self.net = _decoded("net", ckpt.net, lambda d: HashNet(
             tuple(d["layer_dims"]),
             [_decode_array(w, "net.weights") for w in d["weights"]],
-            [_decode_array(b, "net.biases") for b in d["biases"]],
-            d["hidden_activation"]))
+            [_decode_array(b, "net.biases") for b in d["biases"]]))
+        if (act := ckpt.net.get("hidden_activation")) != "tanh":
+            raise CheckpointError("checkpoint's net.hidden_activation must "
+                                  f"be 'tanh', got {act!r}")
         self.graph = _decoded("graph", ckpt.graph, lambda d: MergeGraph(**d))
         self.rng = np.random.default_rng()
         try:
@@ -530,11 +530,11 @@ class TrainingRun:
         cfg = self.cfg
         return {
             _STAGE_BASE: (cfg.base_epochs, self._base_step,
-                          self._complete_base),
+                          self._complete_training),
             _STAGE_ACTIVE: (cfg.n0_epochs, self._active_step,
                             self._truncate_round),
             _STAGE_FROZEN: (cfg.n1_epochs, self._frozen_step,
-                            self._complete_frozen),
+                            self._complete_training),
             _STAGE_SCORE: (cfg.n0_epochs, self._score_step,
                            self._apply_selection),
             _STAGE_FC: (cfg.planned_merge_rounds() * cfg.n1_epochs,
@@ -577,30 +577,26 @@ class TrainingRun:
         for name, total in sums.items():
             log[name].append(total / batches)
 
-    def _complete_base(self):
+    def _complete_training(self):
+        """End of the base stage, or of a merge round's frozen stage."""
         cfg = self.cfg
-        self.base_map = self._map_eval()
-        self.bit_trace.append([self.graph.n_groups, self.base_map])
+        stage_map = self._map_eval()
+        self.bit_trace.append([self.graph.n_groups, stage_map])
+        if self.current_round is None:
+            self.base_map = stage_map
+        else:
+            self.current_round["map"] = stage_map
+            self.rounds_done.append(self.current_round)
+            self.current_round = None
         if cfg.variant in (VARIANT_FULL, VARIANT_RANDOM) \
                 and self.graph.n_groups > cfg.b_out:
             self._start_merge_round()
         elif cfg.variant == VARIANT_SELECT:
-            self.score_sum = np.zeros(self.width)
+            self.score_sum = np.zeros(self.net.n_bits)
             self.score_batches = 0
             self._enter(_STAGE_SCORE)
         elif cfg.variant == VARIANT_FCLAYER:
             self._enter(_STAGE_FC)
-        else:
-            self._enter(_STAGE_DONE)
-
-    def _complete_frozen(self):
-        round_map = self._map_eval()
-        self.current_round["map"] = round_map
-        self.bit_trace.append([self.graph.n_groups, round_map])
-        self.rounds_done.append(self.current_round)
-        self.current_round = None
-        if self.graph.n_groups > self.cfg.b_out:
-            self._start_merge_round()
         else:
             self._enter(_STAGE_DONE)
 
@@ -653,24 +649,23 @@ class TrainingRun:
         order = np.argsort(scores, kind="stable")
         keep = sorted(int(i) for i in order[:self.cfg.b_out])
         self.selected_bits = keep
-        self.net.weights[-1] = self.net.weights[-1][:, keep].copy()
-        self.net.biases[-1] = self.net.biases[-1][keep].copy()
-        self.net.layer_dims = (*self.net.layer_dims[:-1], len(keep))
-        self.width = len(keep)
-        self.graph = _singletons(self.width)
-        self.bit_trace.append([self.width, self._map_eval()])
         self.score_sum = None
-        self._enter(_STAGE_DONE)
+        self._end_with_last_layer(self.net.weights[-1][:, keep].copy(),
+                                  self.net.biases[-1][keep].copy())
 
     def _collapse_fc_head(self):
         """Two stacked affines with no nonlinearity fold into one."""
-        self.net.weights[-1] = self.net.weights[-1] @ self.fc_w
-        self.net.biases[-1] = self.net.biases[-1] @ self.fc_w + self.fc_b
-        self.net.layer_dims = (*self.net.layer_dims[:-1], self.cfg.b_out)
-        self.width = self.cfg.b_out
-        self.graph = _singletons(self.width)
+        weight = self.net.weights[-1] @ self.fc_w
+        bias = self.net.biases[-1] @ self.fc_w + self.fc_b
         self.fc_w = self.fc_b = None
-        self.bit_trace.append([self.width, self._map_eval()])
+        self._end_with_last_layer(weight, bias)
+
+    def _end_with_last_layer(self, weight, bias):
+        """Swap in a new final affine, score it and end the run."""
+        self.net.weights[-1], self.net.biases[-1] = weight, bias
+        self.net.layer_dims = (*self.net.layer_dims[:-1], bias.size)
+        self.graph = _singletons(bias.size)
+        self.bit_trace.append([bias.size, self._map_eval()])
         self._enter(_STAGE_DONE)
 
     # -- per-batch steps -------------------------------------------------

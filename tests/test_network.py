@@ -89,15 +89,6 @@ def test_forward_input_validation():
         forward(net, np.zeros(3))
 
 
-def test_forward_relu_activation():
-    net = init_network([3, 4, 2], seed=0)
-    net.hidden_activation = "relu"
-    x = np.random.default_rng(1).normal(size=(5, 3))
-    out, cache = forward(net, x)
-    assert (cache["hidden_acts"][0] >= 0).all()
-    assert np.isfinite(out).all()
-
-
 # --- dropout ----------------------------------------------------------------
 
 def test_dropout_zero_rate_draws_nothing():
