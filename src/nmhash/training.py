@@ -223,7 +223,7 @@ class RunReport:
     epochs_total: int
     base: dict
     rounds: list[dict]
-    bit_trace: list[list]
+    bit_trace: list[tuple[int, float]]
     groups: list[list[int]]
     final: dict
     leave_one_out: dict | None
@@ -243,6 +243,7 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
+        _check_fields(d, cls, "report")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported report schema {d.get('schema_version')!r}"
@@ -250,7 +251,7 @@ class RunReport:
         for f in fields(cls):
             if f.name not in d and f.default is MISSING:
                 raise ValueError(f"report is missing its {f.name!r} entry")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -507,11 +508,38 @@ class TrainingRun:
             raise CheckpointError(
                 f"checkpoint's progress.current_round must hold the lists "
                 f"{list(_ROUND_LOGS)} in stage {run.stage!r}")
+        if run.stage not in (_STAGE_ACTIVE, _STAGE_FROZEN) \
+                and run.current_round is not None:
+            raise CheckpointError(f"checkpoint's progress.current_round must "
+                                  f"be null in stage {run.stage!r}")
         if run._dataset_sha256() != ckpt.dataset_sha256:
             raise CheckpointError(
                 "checkpoint was written for a different dataset: features, "
                 "labels or splits differ"
             )
+        # sizes that the sections, the data and the stage must agree on
+        k, width, b_out = run.graph.n_groups, run.net.n_bits, run.cfg.b_out
+        fits = [("net.layer_dims[0]", run.net.input_dim,
+                 run.features.shape[1], "to match the data's feature count"),
+                ("graph.n_nodes", run.graph.n_nodes, width,
+                 "to match the net's output width")]
+        needs = {_STAGE_ACTIVE: {"round_adjacency": (k, k)},
+                 _STAGE_SCORE: {"score_sum": (width,)},
+                 _STAGE_FC: {"fc_w": (width, b_out), "fc_b": (b_out,)}}
+        for name, shape in needs.get(run.stage, {}).items():
+            value = getattr(run, name)
+            fits.append((f"progress.{name} shape",
+                         "null" if value is None else value.shape, shape,
+                         f"in stage {run.stage!r}"))
+        for where, got, want, why in fits:
+            if got != want:
+                raise CheckpointError(
+                    f"checkpoint's {where} must be {want} {why}, got {got}")
+        bits = [b for b, _ in run.bit_trace] + [run.graph.n_groups]
+        if any(b2 > b1 for b1, b2 in zip(bits, bits[1:])):
+            raise CheckpointError(
+                "checkpoint's progress.bit_trace bit counts, then "
+                f"graph.n_groups, must be nonincreasing, got {bits}")
         return run
 
     # -- schedule --------------------------------------------------------

@@ -313,26 +313,13 @@ def _key_paths(value, path=()):
         yield from _key_paths(child, path + (key,))
 
 
-def test_mutation_walk_never_ends_in_a_traceback(data_file, tmp_path,
-                                                 capsys):
-    # a mid-active checkpoint holds every kind of entry; the config
-    # section is left out, as its checks have tests of their own
-    args = build_parser().parse_args(["train", "--data", str(data_file),
-                                      *TRAIN_FLAGS])
-    dataset = load_features(data_file)
-    run = TrainingRun(build_experiment_config(args), dataset).run(
-        stop_after=3)
-    assert run.stage == "active"
-    source = tmp_path / "mid.ckpt"
-    save_checkpoint(run.to_checkpoint(), source)
-    body = json.loads(source.read_text().split("\n", 1)[1])
-    paths = [p for p in _key_paths(body) if p[0] != "config"]
-    assert {p[0] for p in paths} == set(body) - {"config"}
+def _walk_cases(body, skip=()):
+    """(case name, edited copy of body) for every key path outside the
+    top-level keys in skip: each deleted, then set to one of five values."""
+    paths = [p for p in _key_paths(body) if p[0] not in skip]
     delete = object()
     for path, value in itertools.product(paths,
                                          (delete, "x", None, {}, [], -1)):
-        case = ".".join(map(str, path)) + (
-            " deleted" if value is delete else f" = {value!r}")
         edited = copy.deepcopy(body)
         *parents, last = path
         target = functools.reduce(operator.getitem, parents, edited)
@@ -340,19 +327,55 @@ def test_mutation_walk_never_ends_in_a_traceback(data_file, tmp_path,
             del target[last]
         else:
             target[last] = value
+        yield ".".join(map(str, path)) + (
+            " deleted" if value is delete else f" = {value!r}"), edited
+
+
+@pytest.mark.parametrize("variant, stop, stage", [
+    ("full", 3, "active"), ("full", 5, "frozen"), ("select", 3, "score"),
+    ("fclayer", 3, "fc")], ids=["mid-active", "mid-frozen", "mid-score",
+                                "mid-fc"])
+def test_mutation_walk_never_ends_in_a_traceback(data_file, tmp_path, capsys,
+                                                 variant, stop, stage):
+    # a checkpoint in the middle of each stage that holds more than the
+    # base stage's entries; the config section is left out, as its checks
+    # have tests of their own
+    args = build_parser().parse_args(["train", "--data", str(data_file),
+                                      *TRAIN_FLAGS, "--variant", variant])
+    dataset = load_features(data_file)
+    run = TrainingRun(build_experiment_config(args), dataset).run(
+        stop_after=stop)
+    assert run.stage == stage
+    source = tmp_path / "mid.ckpt"
+    save_checkpoint(run.to_checkpoint(), source)
+    body = json.loads(source.read_text().split("\n", 1)[1])
+    for case, edited in _walk_cases(body, skip={"config"}):
         ckpt = tmp_path / "edited.ckpt"
         ckpt.write_text(CHECKPOINT_MAGIC + "\n" + json.dumps(edited) + "\n")
         try:
             rc = main(["evaluate", "--checkpoint", str(ckpt),
                        "--data", str(data_file)])
-            # evaluate accepted it, so resuming must finish or fail the
-            # way main reports in one line
+            # evaluate accepted it, so it must resume to a report
             if rc == 0:
-                try:
-                    TrainingRun.from_checkpoint(load_checkpoint(ckpt),
-                                                dataset).run().report()
-                except (NmhashError, ValueError):
-                    pass
+                TrainingRun.from_checkpoint(load_checkpoint(ckpt),
+                                            dataset).run().report()
+        except Exception as exc:  # name the case in the failure
+            raise AssertionError(f"{case} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert rc == 0 or err.startswith("error: ") \
+            and err.count("\n") == 1, case
+
+
+def test_report_walk_never_ends_in_a_traceback(trained, tmp_path, capsys):
+    body = json.loads(trained["report"].read_text())
+    for case, edited in _walk_cases(body):
+        report = tmp_path / "edited.report.json"
+        report.write_text(json.dumps(edited))
+        try:
+            rc = main(["export-curves", "--checkpoint", str(trained["ckpt"]),
+                       "--data", str(trained["data"]),
+                       "--report", str(report),
+                       "--out-dir", str(tmp_path / "curves")])
         except Exception as exc:  # name the case in the failure
             raise AssertionError(f"{case} raised {exc!r}") from exc
         err = capsys.readouterr().err

@@ -285,6 +285,16 @@ def test_report_names_a_missing_key(dataset):
     assert RunReport.from_dict(d).selected_bits is None
 
 
+def test_report_refuses_undeclared_or_wrong_typed_entries(dataset):
+    d = TrainingRun(small_config(), dataset).run().report().to_dict()
+    with pytest.raises(ConfigError, match="unknown report keys: 'extra'"):
+        RunReport.from_dict({**d, "extra": 1})
+    with pytest.raises(ConfigError, match="'bit_trace' must be list"):
+        RunReport.from_dict({**d, "bit_trace": [[6, None]]})
+    with pytest.raises(ConfigError, match="report must be an object"):
+        RunReport.from_dict([])
+
+
 # --- leave-one-out profile ----------------------------------------------------------
 
 def test_profile_matches_report(dataset):
@@ -378,6 +388,7 @@ def test_checkpoint_missing_section_is_refused(tmp_path, dataset):
 
 
 def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
+    encode = nmhash.training._encode_array
     # a mid-active checkpoint holds an adjacency, so every kind of entry
     # is live; each one deleted, then set to a string, must be refused
     run = TrainingRun(small_config(), dataset).run(stop_after=3)
@@ -404,8 +415,32 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
                        if k != log})
     cases += [("progress", "current_round", {**progress, "current_round": r})
               for r in rounds]
-    for section, key, edited in cases:
-        bad = dataclasses.replace(ckpt, **{section: edited})
+    # entries that must agree with another section, the data or the stage
+    wide = dict(ckpt.net)
+    wide["layer_dims"] = [7, *wide["layer_dims"][1:]]
+    wide["weights"] = [encode(np.zeros((7, 32))), *wide["weights"][1:]]
+    cases += [
+        ("net", "layer_dims", wide),
+        ("net", "hidden_activation", {**ckpt.net, "hidden_activation": "relu"}),
+        ("graph", "n_nodes", {"n_nodes": 7, "groups": [[i] for i in range(7)]}),
+        ("progress", "round_adjacency", {**progress, "round_adjacency": None}),
+        ("progress", "round_adjacency",
+         {**progress, "round_adjacency": encode(np.zeros((7, 7)))}),
+        ("progress", "bit_trace", {**progress, "bit_trace": [[-1, 0.5]]}),
+        ("progress", "bit_trace", {**progress, "bit_trace": [[7, 0.5]]})]
+    checkpoints = [ckpt] * len(cases)
+    # the entries the score and fc stages read, and a round outside a round
+    for variant, key, value in [("select", "score_sum", None),
+                                ("select", "current_round", {}),
+                                ("fclayer", "fc_w", None),
+                                ("fclayer", "fc_w", encode(np.zeros((6, 8)))),
+                                ("fclayer", "fc_b", None)]:
+        other = TrainingRun(small_config(variant=variant),
+                            dataset).run(stop_after=3).to_checkpoint()
+        checkpoints.append(other)
+        cases.append(("progress", key, {**other.progress, key: value}))
+    for base, (section, key, edited) in zip(checkpoints, cases):
+        bad = dataclasses.replace(base, **{section: edited})
         with pytest.raises(CheckpointError, match=key):
             TrainingRun.from_checkpoint(bad, dataset)
     # the unedited checkpoint still resumes
