@@ -271,7 +271,7 @@ _STATE = {
     "global_epoch": ("counters", int, 0),
     "base_loss_per_epoch": ("progress", list[float], []),
     "base_map": ("progress", float, None),
-    "rounds_done": ("progress", list, []),
+    "rounds_done": ("progress", list[dict], []),
     "current_round": ("progress", dict, None),
     "bit_trace": ("progress", list[tuple[int, float]], []),
     "round_adjacency": ("progress", np.ndarray, None),

@@ -415,7 +415,8 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
                        if k != log})
     cases += [("progress", "current_round", {**progress, "current_round": r})
               for r in rounds]
-    # entries that must agree with another section, the data or the stage
+    # entries that must agree with another section, the data or the stage,
+    # and round records that a report could not be read back with
     wide = dict(ckpt.net)
     wide["layer_dims"] = [7, *wide["layer_dims"][1:]]
     wide["weights"] = [encode(np.zeros((7, 32))), *wide["weights"][1:]]
@@ -427,7 +428,8 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
         ("progress", "round_adjacency",
          {**progress, "round_adjacency": encode(np.zeros((7, 7)))}),
         ("progress", "bit_trace", {**progress, "bit_trace": [[-1, 0.5]]}),
-        ("progress", "bit_trace", {**progress, "bit_trace": [[7, 0.5]]})]
+        ("progress", "bit_trace", {**progress, "bit_trace": [[7, 0.5]]}),
+        ("progress", "rounds_done", {**progress, "rounds_done": [-1]})]
     checkpoints = [ckpt] * len(cases)
     # the entries the score and fc stages read, and a round outside a round
     for variant, key, value in [("select", "score_sum", None),
