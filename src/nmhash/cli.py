@@ -22,7 +22,7 @@ from .merging import score_neurons
 from .metrics import (mean_average_precision, pr_curve,
                       precision_at_hamming_radius, precision_at_top_n)
 from .network import SgdConfig
-from .training import (ExperimentConfig, RunReport, TrainingRun, VARIANTS,
+from .training import (ExperimentConfig, TrainingRun, VARIANTS,
                        VARIANT_BASELINE, VARIANT_DROPOUT, VARIANT_FULL,
                        load_checkpoint, save_checkpoint)
 
@@ -151,15 +151,15 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_codes(args) -> tuple:
-    """(query codes, query labels, gallery codes, gallery labels) of the
-    --checkpoint run on the --data set."""
+    """(run, query codes, query labels, gallery codes, gallery labels) of
+    the --checkpoint run on the --data set."""
     ckpt = load_checkpoint(args.checkpoint)
     run = TrainingRun.from_checkpoint(ckpt, load_features(args.data))
-    return (*run.codes("query"), *run.codes("gallery"))
+    return (run, *run.codes("query"), *run.codes("gallery"))
 
 
 def cmd_evaluate(args) -> int:
-    q, q_labels, g, g_labels = _checkpoint_codes(args)
+    _, q, q_labels, g, g_labels = _checkpoint_codes(args)
     # retrieve and precision_at_top_n refuse depths outside the gallery
     if args.top_n is not None:
         n_values = _parse_int_list(args.top_n)
@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    q, q_labels, g, g_labels = _checkpoint_codes(args)
+    _, q, q_labels, g, g_labels = _checkpoint_codes(args)
     p = score_neurons(g, g_labels, q, q_labels)
     out = {"schema_version": 1,
            "map_without_bit": [float(v) for v in p],
@@ -206,9 +206,7 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def cmd_export_curves(args) -> int:
-    q, q_labels, g, g_labels = _checkpoint_codes(args)
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = RunReport.from_json(fh.read())
+    run, q, q_labels, g, g_labels = _checkpoint_codes(args)
     os.makedirs(args.out_dir, exist_ok=True)
 
     points = pr_curve(q, q_labels, g, g_labels)
@@ -223,7 +221,7 @@ def cmd_export_curves(args) -> int:
 
     _write_csv(os.path.join(args.out_dir, "bit_reduction.csv"),
                "effective_bits,map",
-               [(int(b), float(v)) for b, v in report.bit_trace])
+               [(int(b), float(v)) for b, v in run.bit_trace])
 
     try:
         p = score_neurons(g, g_labels, q, q_labels)
@@ -328,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write pr/top-n/bit-reduction/profile CSVs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--report", required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=cmd_export_curves)
 

@@ -28,8 +28,7 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass)
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -40,8 +39,7 @@ from .losses import relaxed_hash_loss, relaxed_hash_loss_grad
 from .merging import (MergeGraph, active_grad, active_loss,
                       apply_active_step, apply_choices, draw_choices,
                       eval_forward, frozen_grads, frozen_loss,
-                      groups_after_truncation, propagate_scores,
-                      score_neurons, truncate)
+                      propagate_scores, score_neurons, truncate)
 from .metrics import (mean_average_precision, precision_at_hamming_radius)
 from .network import HashNet, SgdConfig, backward, forward, init_network, sgd_step
 
@@ -240,22 +238,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        _check_fields(d, cls, "report")
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported report schema {d.get('schema_version')!r}"
-            )
-        for f in fields(cls):
-            if f.name not in d and f.default is MISSING:
-                raise ValueError(f"report is missing its {f.name!r} entry")
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
 
 
 CHECKPOINT_MAGIC = "HMRG1"
@@ -631,6 +613,7 @@ class TrainingRun:
     def _enter(self, stage: str):
         self.stage = stage
         self.epoch_in_stage = 0
+        self._val_codes_cache = None
 
     def _start_merge_round(self):
         self.round_index += 1
@@ -639,7 +622,6 @@ class TrainingRun:
                               **{log: [] for log in _ROUND_LOGS}}
         if self.cfg.variant == VARIANT_FULL:
             self.round_adjacency = np.zeros((k, k))
-            self._val_codes_cache = None
             self._enter(_STAGE_ACTIVE)
         else:  # random: skip score learning, merge a random adjacency
             adj = np.zeros((k, k))
@@ -654,19 +636,15 @@ class TrainingRun:
         m shrinks if it would overshoot b_out.
         """
         k = self.graph.n_groups
-        need = k - self.cfg.b_out
         m_used = min(self.cfg.m, k * (k - 1) // 2)
-        while m_used > 1:
-            removed = k - len(groups_after_truncation(self.round_adjacency,
-                                                      m_used))
-            if removed <= need:
-                break
+        merged = truncate(self.graph, self.round_adjacency, m_used)
+        while merged.n_groups < self.cfg.b_out:
             m_used -= 1
-        self.graph = truncate(self.graph, self.round_adjacency, m_used)
+            merged = truncate(self.graph, self.round_adjacency, m_used)
+        self.graph = merged
         self.current_round["m_used"] = m_used
         self.current_round["bits_after"] = self.graph.n_groups
         self.round_adjacency = None
-        self._val_codes_cache = None
         self._enter(_STAGE_FROZEN)
 
     def _apply_selection(self):
