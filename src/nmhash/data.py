@@ -99,8 +99,8 @@ def load_features(path) -> FeatureDataset:
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.rstrip("\r\n")
-            if text == "" and lineno > len(rows):
-                continue  # tolerate a trailing blank line
+            if not text:
+                continue  # a blank line holds no item
             fields = text.split(",")
             if len(fields) < 2:
                 raise DataFormatError(

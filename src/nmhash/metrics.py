@@ -167,8 +167,8 @@ def precision_at_hamming_radius(query_codes, query_labels, gallery_codes,
 
     A query that retrieves nothing inside the radius contributes 0.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    if not 0 <= radius < np.inf:  # NaN fails this too
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     rel = relevance_matrix(query_labels, gallery_labels)
     q, g = _pairing(query_codes, gallery_codes, rel)
     inside = _distance(q @ g.T, q.shape[1]) <= radius

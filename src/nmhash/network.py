@@ -23,13 +23,14 @@ class SgdConfig:
     weight_decay: float = 1e-5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # written so that NaN fails each range check
+        if not 0 < self.learning_rate < np.inf:
             raise ConfigError(
-                f"learning_rate must be > 0, got {self.learning_rate}"
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.weight_decay < 0:
+        if not 0 <= self.weight_decay < np.inf:
             raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}"
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
             )
 
 

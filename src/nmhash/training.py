@@ -162,10 +162,12 @@ class ExperimentConfig:
             raise ConfigError("select variant needs n0_epochs >= 1 to score bits")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.nm_learning_rate <= 0:
-            raise ConfigError("nm_learning_rate must be > 0")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        # written so that NaN fails each range check
+        if not 0 < self.nm_learning_rate < math.inf:
+            raise ConfigError("nm_learning_rate must be finite and > 0, "
+                              f"got {self.nm_learning_rate}")
+        if not 0 <= self.eta < math.inf:
+            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(
                 f"dropout_rate must be in [0, 1), got {self.dropout_rate}"

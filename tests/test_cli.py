@@ -113,6 +113,18 @@ def test_train_validation_failure_exits_nonzero(data_file, capsys):
     _err_line(capsys)
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--lr", "nan", "learning_rate"), ("--weight-decay", "nan", "weight_decay"),
+    ("--eta", "nan", "eta"), ("--eta", "inf", "eta"),
+    ("--nm-lr", "nan", "nm_learning_rate")])
+def test_train_refuses_non_finite_hyperparameters(tmp_path, capsys, flag,
+                                                  value, key):
+    # refused while the config is built: the data file is never opened
+    assert main(["train", "--data", str(tmp_path / "absent.csv"),
+                 flag, value]) == 1
+    assert _err_line(capsys).startswith(f"error: {key} must be finite")
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
     _err_line(capsys)
@@ -224,6 +236,17 @@ def test_evaluate_top_r_and_out_file(trained, tmp_path, capsys):
     metrics = json.loads(printed)
     assert metrics["top_r"] == 10
     assert metrics["precision_at_top_n"]["n"] == [1, 5]
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_evaluate_refuses_a_radius_that_is_not_finite(trained, capsys,
+                                                      radius):
+    assert main(["evaluate", "--checkpoint", str(trained["ckpt"]),
+                 "--data", str(trained["data"]), "--radius", radius]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no document
+    assert captured.err.startswith("error: radius must be finite")
+    assert captured.err.count("\n") == 1
 
 
 def test_evaluate_rejects_oversized_top_r(trained, capsys):

@@ -102,8 +102,10 @@ def test_load_multi_label_and_crlf(tmp_path):
 
 def test_load_tolerates_trailing_blank_line(tmp_path):
     path = tmp_path / "blank.csv"
-    path.write_text("0,1.0\n1,2.0\n\n")
-    assert load_features(path).n_items == 2
+    # a blank line holds no item, at the end or mid-file
+    for text in ("0,1.0\n1,2.0\n\n", "0,1.0,2.0\n\n1,3.0,4.0\n"):
+        path.write_text(text)
+        assert load_features(path).n_items == 2
 
 
 @pytest.mark.parametrize("content,fragment", [

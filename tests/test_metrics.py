@@ -355,8 +355,10 @@ def test_precision_at_radius_empty_retrieval_scores_zero():
 
 
 def test_precision_at_radius_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        precision_at_hamming_radius([[1]], [{0}], [[1]], [{0}], radius=-1.0)
+    for radius in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            precision_at_hamming_radius([[1]], [{0}], [[1]], [{0}],
+                                        radius=radius)
 
 
 # --- precision-recall curve ------------------------------------------------

@@ -237,6 +237,11 @@ def test_sgd_config_validation():
         SgdConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         SgdConfig(learning_rate=1e-4, weight_decay=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            SgdConfig(learning_rate=bad)
+        with pytest.raises(ConfigError, match="weight_decay"):
+            SgdConfig(weight_decay=bad)
 
 
 def test_sgd_rejects_mismatched_grads():

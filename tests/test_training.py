@@ -67,6 +67,12 @@ def test_config_defaults_match_reference_constants():
     dict(score_every=0),
     dict(n_validation=-1),
     dict(hidden_dims=(0,)),
+    dict(nm_learning_rate=float("nan")),
+    dict(nm_learning_rate=float("inf")),
+    dict(eta=float("nan")),
+    dict(eta=float("inf")),
+    dict(backbone_sgd=dict(learning_rate=float("nan"))),
+    dict(backbone_sgd=dict(weight_decay=float("nan"))),
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigError):
@@ -227,6 +233,28 @@ def test_random_variant_merges_without_active_epochs(dataset):
     assert report.epochs_total == 2 + 2  # base + frozen only, no active
     assert len(report.rounds) == 1
     assert report.rounds[0]["active_loss_per_epoch"] == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_planted_duplicate_bits_get_no_edge(seed):
+    # the active rule grows an edge with the gap between two bits' scores,
+    # so exact duplicates (equal scores) are never linked to each other
+    cfg = ExperimentConfig(b_in=8, b_out=5, m=2, base_epochs=3, n0_epochs=3,
+                           n1_epochs=2, batch_size=32, hidden_dims=(16,),
+                           backbone_sgd=SgdConfig(learning_rate=1e-6),
+                           seed=seed)
+    run = TrainingRun(cfg, generate_synthetic(4, 8, 40, 2.0, 0))
+    run.run(stop_after=cfg.base_epochs)
+    assert run.stage == "active"
+    w, b = run.net.weights[-1], run.net.biases[-1]
+    for src, dst in ((0, 1), (2, 3)):
+        w[:, dst], b[dst] = w[:, src], b[src]
+    run.run(stop_after=cfg.base_epochs + cfg.n0_epochs - 1)
+    assert run.stage == "active"
+    adj = run.round_adjacency
+    assert adj[0, 1] == adj[2, 3] == 0.0
+    np.testing.assert_array_equal(adj[0, 2:], adj[1, 2:])
+    assert np.count_nonzero(adj) > 0  # other pairs were linked
 
 
 def test_same_seed_reports_are_byte_identical(dataset):
