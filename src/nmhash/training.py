@@ -635,7 +635,8 @@ class TrainingRun:
     def _truncate_round(self):
         """Merge via the round adjacency, then train the merged code frozen.
 
-        m shrinks if it would overshoot b_out.
+        m shrinks while the merge would overshoot b_out; an edge removes at
+        most one group and a round starts above b_out, so m = 1 never does.
         """
         k = self.graph.n_groups
         m_used = min(self.cfg.m, k * (k - 1) // 2)
