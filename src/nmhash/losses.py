@@ -17,33 +17,28 @@ import numpy as np
 from .metrics import sign_pm1
 
 
-def _check_similarity(s, n_rows):
-    sm = np.asarray(s, dtype=np.float64)
-    if sm.shape != (n_rows, n_rows):
-        raise ValueError(
-            f"similarity matrix shape {sm.shape} does not match codes "
-            f"({n_rows}, {n_rows})"
-        )
-    if not np.isin(sm, (-1.0, 1.0)).all():
-        raise ValueError("similarity entries must be -1 or +1")
-    return sm
-
-
-def _check_outputs(u, n_bits):
-    arr = np.asarray(u, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2 or arr.shape[0] == 0:
+def _residual(outputs, similarity, eta):
+    """Checked (U, R): R = U U^T - K S with a zero diagonal, K = U's width."""
+    u = np.asarray(outputs, dtype=np.float64)
+    if u.ndim == 1:
+        u = u[np.newaxis, :]
+    if u.ndim != 2 or 0 in u.shape:
         raise ValueError("output matrix must be non-empty and 2-D")
-    if n_bits <= 0:
-        raise ValueError(f"code length must be positive, got {n_bits}")
-    if arr.shape[1] != n_bits:
-        raise ValueError(
-            f"output width {arr.shape[1]} does not match code length {n_bits}"
-        )
-    if not np.isfinite(arr).all():
+    if not np.isfinite(u).all():
         raise ValueError("outputs contain non-finite values")
-    return arr
+    if eta < 0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    s = np.asarray(similarity, dtype=np.float64)
+    if s.shape != (u.shape[0], u.shape[0]):
+        raise ValueError(
+            f"similarity matrix shape {s.shape} does not match codes "
+            f"({u.shape[0]}, {u.shape[0]})"
+        )
+    if not np.isin(s, (-1.0, 1.0)).all():
+        raise ValueError("similarity entries must be -1 or +1")
+    resid = u @ u.T - u.shape[1] * s
+    np.fill_diagonal(resid, 0.0)
+    return u, resid
 
 
 @dataclass
@@ -55,8 +50,7 @@ class LossValue:
     quantization_term: float
 
 
-def relaxed_hash_loss(outputs, similarity, n_bits: int,
-                      eta: float) -> LossValue:
+def relaxed_hash_loss(outputs, similarity, eta: float) -> LossValue:
     """Relaxed pairwise loss on real outputs U (one batch, K columns).
 
     pairwise_term     = sum over ordered pairs i != j of
@@ -64,19 +58,13 @@ def relaxed_hash_loss(outputs, similarity, n_bits: int,
     quantization_term = sum_i ||sign(u_i) - u_i||^2
     total             = pairwise_term + eta * quantization_term
     """
-    u = _check_outputs(outputs, n_bits)
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    s = _check_similarity(similarity, u.shape[0])
-    resid = u @ u.T - n_bits * s
-    np.fill_diagonal(resid, 0.0)
+    u, resid = _residual(outputs, similarity, eta)
     pairwise = float((resid ** 2).sum())
     quant = float(((sign_pm1(u) - u) ** 2).sum())
     return LossValue(pairwise + eta * quant, pairwise, quant)
 
 
-def relaxed_hash_loss_grad(outputs, similarity, n_bits: int,
-                           eta: float) -> np.ndarray:
+def relaxed_hash_loss_grad(outputs, similarity, eta: float) -> np.ndarray:
     """Gradient of relaxed_hash_loss w.r.t. the outputs, same shape as U.
 
     For symmetric S this is row-wise
@@ -85,12 +73,7 @@ def relaxed_hash_loss_grad(outputs, similarity, n_bits: int,
     the sign() treated as a constant.  The implementation uses the exact
     form (R + R^T) U so an asymmetric S still differentiates correctly.
     """
-    u = _check_outputs(outputs, n_bits)
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    s = _check_similarity(similarity, u.shape[0])
-    resid = u @ u.T - n_bits * s
-    np.fill_diagonal(resid, 0.0)
+    u, resid = _residual(outputs, similarity, eta)
     grad = 2.0 * ((resid + resid.T) @ u)
     grad += 2.0 * eta * (u - sign_pm1(u))
     return grad

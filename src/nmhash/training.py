@@ -399,11 +399,8 @@ class TrainingRun:
             for name, (_, _, fresh) in _STATE.items():
                 setattr(self, name, copy.deepcopy(fresh))
             if cfg.variant == VARIANT_FCLAYER:
-                head_rng = np.random.default_rng(s_head)
-                bound = 1.0 / np.sqrt(cfg.b_in)
-                self.fc_w = head_rng.uniform(-bound, bound,
-                                             (cfg.b_in, cfg.b_out))
-                self.fc_b = np.zeros(cfg.b_out)
+                head = init_network((cfg.b_in, cfg.b_out), s_head)
+                self.fc_w, self.fc_b = head.weights[0], head.biases[0]
             self._settle()
         else:
             self._restore_from(_restore)
@@ -689,40 +686,37 @@ class TrainingRun:
         u, cache = forward(self.net, self.features[rows], dropout_rate=rate,
                            rng=self.rng if rate > 0 else None)
         sim = self._batch_similarity(rows)
-        k = u.shape[1]
-        loss = relaxed_hash_loss(u, sim, k, cfg.eta).total
-        du = relaxed_hash_loss_grad(u, sim, k, cfg.eta)
+        loss = relaxed_hash_loss(u, sim, cfg.eta).total
+        du = relaxed_hash_loss_grad(u, sim, cfg.eta)
         sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
         return {"hash_loss_per_epoch": loss}
 
     def _frozen_step(self, b_index, rows):
         cfg = self.cfg
-        k_eff = self.graph.n_groups
         u, cache = forward(self.net, self.features[rows])
         choices = draw_choices(self.graph, self.rng)
         merged = apply_choices(self.graph, u, choices)
         sim = self._batch_similarity(rows)
         terms = {"hash_loss_per_epoch":
-                 relaxed_hash_loss(merged, sim, k_eff, cfg.eta).total,
+                 relaxed_hash_loss(merged, sim, cfg.eta).total,
                  "frozen_loss_per_epoch": frozen_loss(self.graph, u, choices)}
-        d_merged = relaxed_hash_loss_grad(merged, sim, k_eff, cfg.eta)
+        d_merged = relaxed_hash_loss_grad(merged, sim, cfg.eta)
         du = frozen_grads(self.graph, u, choices, d_merged)
         sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
         return terms
 
     def _fc_step(self, b_index, rows):
         cfg = self.cfg
-        sgd = cfg.backbone_sgd
+        # a view of the stored arrays: sgd_step updates them in place
+        head = HashNet(self.fc_w.shape, [self.fc_w], [self.fc_b])
         u1, cache = forward(self.net, self.features[rows])
-        u2 = u1 @ self.fc_w + self.fc_b
-        d2 = relaxed_hash_loss_grad(u2, self._batch_similarity(rows),
-                                    cfg.b_out, cfg.eta)
-        dw_fc = u1.T @ d2
-        db_fc = d2.sum(axis=0)
+        u2, head_cache = forward(head, u1)
+        d2 = relaxed_hash_loss_grad(u2, self._batch_similarity(rows), cfg.eta)
+        # backward returns no input gradient; take it before either update
         d1 = d2 @ self.fc_w.T
-        sgd_step(self.net, backward(self.net, cache, d1), sgd)
-        self.fc_w -= sgd.learning_rate * (dw_fc + sgd.weight_decay * self.fc_w)
-        self.fc_b -= sgd.learning_rate * (db_fc + sgd.weight_decay * self.fc_b)
+        head_grads = backward(head, head_cache, d2)
+        sgd_step(self.net, backward(self.net, cache, d1), cfg.backbone_sgd)
+        sgd_step(head, head_grads, cfg.backbone_sgd)
         return {}
 
     def _bit_scores(self, b_index, rows) -> np.ndarray | None:

@@ -130,9 +130,9 @@ def test_criterion_1_gradient_oracles():
         s = np.triu(s) + np.triu(s, 1).T
         eta = float(rng.choice([0.0, 1.0, 1200.0]))
         err = relative_error(
-            relaxed_hash_loss_grad(u, s, k, eta),
+            relaxed_hash_loss_grad(u, s, eta),
             central_difference(
-                lambda x: relaxed_hash_loss(x, s, k, eta).total, u))
+                lambda x: relaxed_hash_loss(x, s, eta).total, u))
         worst = max(worst, err)
 
     # frozen tie-together loss: zero upstream isolates the penalty term

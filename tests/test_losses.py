@@ -18,14 +18,14 @@ def test_discrete_self_mode_counts_ordered_pairs():
     codes = np.vstack([np.ones(k), -np.ones(k)])
     s = np.ones((2, 2))
     assert discrete_hash_loss(codes, s, k) == 512.0
-    assert relaxed_hash_loss(codes, s, k, eta=1200.0).total == 512.0
+    assert relaxed_hash_loss(codes, s, eta=1200.0).total == 512.0
 
 
 def test_discrete_loss_zero_at_perfect_codes():
     codes = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
     s = np.array([[1, 1, -1], [1, 1, -1], [-1, -1, 1]], dtype=float)
     assert discrete_hash_loss(codes, s, 2) == 0.0
-    assert relaxed_hash_loss(codes, s, 2, eta=1200.0).total == 0.0
+    assert relaxed_hash_loss(codes, s, eta=1200.0).total == 0.0
 
 
 # --- relaxed loss -----------------------------------------------------------
@@ -34,14 +34,14 @@ def test_relaxed_two_row_hand_value():
     # u1 = u2 = (1,1) but s = -1: each ordered pair gives (2 - (-2))^2
     u = np.ones((2, 2))
     s = -np.ones((2, 2))
-    val = relaxed_hash_loss(u, s, 2, eta=0.0)
+    val = relaxed_hash_loss(u, s, eta=0.0)
     assert val.pairwise_term == 32.0
     assert val.quantization_term == 0.0
     assert val.total == 32.0
 
 
 def test_relaxed_single_row_quantization_only():
-    val = relaxed_hash_loss([[0.5]], [[1]], 1, eta=1.0)
+    val = relaxed_hash_loss([[0.5]], [[1]], eta=1.0)
     assert val.pairwise_term == 0.0
     assert val.quantization_term == pytest.approx(0.25)
     assert val.total == pytest.approx(0.25)
@@ -53,7 +53,7 @@ def test_relaxed_total_combines_terms():
     s = np.where(rng.random((4, 4)) < 0.5, -1.0, 1.0)
     s = np.triu(s) + np.triu(s, 1).T  # symmetric
     for eta in (0.0, 1.0, 1200.0):
-        val = relaxed_hash_loss(u, s, 3, eta)
+        val = relaxed_hash_loss(u, s, eta)
         assert val.total == pytest.approx(
             val.pairwise_term + eta * val.quantization_term)
         assert val.pairwise_term >= 0.0
@@ -62,16 +62,16 @@ def test_relaxed_total_combines_terms():
 
 def test_relaxed_loss_shape_checks():
     with pytest.raises(ValueError):
-        relaxed_hash_loss([[1, 1]], [[1, 1]], 2, eta=0.0)  # S must be 1x1
+        relaxed_hash_loss([[1, 1]], [[1, 1]], eta=0.0)  # S must be 1x1
     with pytest.raises(ValueError):
-        relaxed_hash_loss([[1, 1]], [[0]], 2, eta=0.0)
+        relaxed_hash_loss([[1, 1]], [[0]], eta=0.0)
 
 
 def test_relaxed_rejects_bad_eta_and_nonfinite():
     with pytest.raises(ValueError):
-        relaxed_hash_loss([[1.0]], [[1]], 1, eta=-1.0)
+        relaxed_hash_loss([[1.0]], [[1]], eta=-1.0)
     with pytest.raises(ValueError):
-        relaxed_hash_loss([[np.inf]], [[1]], 1, eta=1.0)
+        relaxed_hash_loss([[np.inf]], [[1]], eta=1.0)
 
 
 @settings(max_examples=60)
@@ -90,7 +90,7 @@ def test_relaxed_equals_discrete_on_binary_codes(codes_k, rnd):
     for i in range(n):
         for j in range(i + 1, n):
             s[i, j] = s[j, i] = rnd.choice([-1.0, 1.0])
-    val = relaxed_hash_loss(codes, s, k, eta=1200.0)
+    val = relaxed_hash_loss(codes, s, eta=1200.0)
     # sign(u) == u on the hypercube corners, so eta drops out entirely
     assert val.quantization_term == 0.0
     assert val.total == discrete_hash_loss(codes, s, k)
@@ -100,7 +100,7 @@ def test_relaxed_equals_discrete_on_binary_codes(codes_k, rnd):
 
 def test_grad_single_row_quantization_hand_value():
     # d/du eta*(u - sign u)^2 = 2*(2 - 1) at u = 2, eta = 1
-    g = relaxed_hash_loss_grad([[2.0]], [[1]], 1, eta=1.0)
+    g = relaxed_hash_loss_grad([[2.0]], [[1]], eta=1.0)
     np.testing.assert_allclose(g, [[2.0]])
 
 
@@ -108,7 +108,7 @@ def test_grad_zero_at_exact_solution():
     u = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
     s = np.array([[1, 1, -1], [1, 1, -1], [-1, -1, 1]], dtype=float)
     np.testing.assert_array_equal(
-        relaxed_hash_loss_grad(u, s, 2, eta=5.0), np.zeros((3, 2)))
+        relaxed_hash_loss_grad(u, s, eta=5.0), np.zeros((3, 2)))
 
 
 def test_grad_matches_finite_differences():
@@ -122,9 +122,9 @@ def test_grad_matches_finite_differences():
         s = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
         s = np.triu(s) + np.triu(s, 1).T
         eta = float(rng.choice([0.0, 1.0, 1200.0]))
-        analytic = relaxed_hash_loss_grad(u, s, k, eta)
+        analytic = relaxed_hash_loss_grad(u, s, eta)
         numeric = central_difference(
-            lambda x: relaxed_hash_loss(x, s, k, eta).total, u)
+            lambda x: relaxed_hash_loss(x, s, eta).total, u)
         assert relative_error(analytic, numeric) < 1e-6
 
 
@@ -134,7 +134,7 @@ def test_grad_handles_asymmetric_similarity():
     rng = np.random.default_rng(99)
     u = rng.uniform(0.3, 1.2, size=(3, 2))
     s = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
-    analytic = relaxed_hash_loss_grad(u, s, 2, eta=2.0)
+    analytic = relaxed_hash_loss_grad(u, s, eta=2.0)
     numeric = central_difference(
-        lambda x: relaxed_hash_loss(x, s, 2, eta=2.0).total, u)
+        lambda x: relaxed_hash_loss(x, s, eta=2.0).total, u)
     assert relative_error(analytic, numeric) < 1e-6
