@@ -38,6 +38,8 @@ class FeatureDataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise ValueError("features must be a non-empty 2-D array")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if len(self.labels) != self.n_items:
             raise ValueError("one label set per item required")
         self.labels = [frozenset(int(v) for v in s) for s in self.labels]
@@ -77,8 +79,10 @@ def generate_synthetic(n_classes: int, dim: int, n_per_class: int,
             "n_classes, dim, and n_per_class must all be >= 1; got "
             f"{n_classes}, {dim}, {n_per_class}"
         )
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    # written so that NaN fails the range check
+    if not 0 <= noise_sigma < np.inf:
+        raise ConfigError(
+            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     centers = 3.0 * rng.standard_normal((n_classes, dim))
     rows = []
@@ -125,6 +129,8 @@ def load_features(path) -> FeatureDataset:
                 raise DataFormatError(
                     f"line {lineno}: features must be numeric"
                 ) from None
+            if not np.isfinite(feats).all():
+                raise DataFormatError(f"line {lineno}: features must be finite")
             if dim is None:
                 dim = len(feats)
             elif len(feats) != dim:

@@ -5,7 +5,8 @@ where s_ij is +1 for similar pairs and -1 for dissimilar ones and K is the
 code length.  It works on the real-valued network outputs (the relaxation
 of finished {-1, +1} codes, on which it equals the discrete loss) and adds
 a quantization penalty eta * sum_i ||sign(u_i) - u_i||^2 that pulls
-outputs toward the corners of the hypercube.
+outputs toward the corners of the hypercube.  K is the width of the
+outputs passed in.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ def _residual(outputs, similarity, eta):
         raise ValueError("output matrix must be non-empty and 2-D")
     if not np.isfinite(u).all():
         raise ValueError("outputs contain non-finite values")
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    # written so that NaN fails the range check
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     s = np.asarray(similarity, dtype=np.float64)
     if s.shape != (u.shape[0], u.shape[0]):
         raise ValueError(

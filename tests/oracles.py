@@ -78,6 +78,27 @@ def brute_force_radius_precision(query_codes, query_labels, gallery_codes,
     return sum(per_query) / len(per_query)
 
 
+def brute_force_pr_curve(query_codes, query_labels, gallery_codes,
+                         gallery_labels) -> list[tuple[float, float, float]]:
+    """(threshold, precision, recall) at thresholds 0, 0.5, .., K.
+
+    Counts are pooled over every (query, gallery) pair.  Precision is 0
+    when nothing is retrieved; recall is 0 when no pair is relevant.
+    """
+    pairs = [(code_distance(q, g), relevant(qlab, glab))
+             for q, qlab in zip(query_codes, query_labels)
+             for g, glab in zip(gallery_codes, gallery_labels)]
+    n_relevant = sum(1 for _, rel in pairs if rel)
+    points = []
+    for half_steps in range(2 * len(query_codes[0]) + 1):
+        t = half_steps / 2
+        retrieved = [rel for dist, rel in pairs if dist <= t]
+        good = sum(1 for rel in retrieved if rel)
+        points.append((t, good / len(retrieved) if retrieved else 0.0,
+                       good / n_relevant if n_relevant else 0.0))
+    return points
+
+
 def brute_force_top_n(query_codes, query_labels, gallery_codes,
                       gallery_labels, n_values) -> list[float]:
     """Per n: mean over queries of the relevant share of the top n."""

@@ -84,6 +84,10 @@ def test_gen_data_rejects_bad_arguments(tmp_path, capsys):
     _err_line(capsys)
     assert main(["gen-data", "--out", str(tmp_path / "no_dir" / "x.csv")]) == 1
     _err_line(capsys)
+    assert main(["gen-data", "--noise", "nan",
+                 "--out", str(tmp_path / "nan.csv")]) == 1
+    assert "noise_sigma" in _err_line(capsys)
+    assert not (tmp_path / "nan.csv").exists()
 
 
 # --- train ----------------------------------------------------------------------
@@ -128,6 +132,16 @@ def test_train_refuses_non_finite_hyperparameters(tmp_path, capsys, flag,
 def test_train_missing_data_file(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
     _err_line(capsys)
+
+
+def test_train_names_the_line_of_a_non_finite_feature(data_file, tmp_path,
+                                                      capsys):
+    lines = data_file.read_text().splitlines()
+    lines[6] = lines[6].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--data", str(bad), *TRAIN_FLAGS]) == 1
+    assert "line 7: features must be finite" in _err_line(capsys)
 
 
 # --- config files ------------------------------------------------------------------

@@ -32,6 +32,9 @@ def test_dataset_validation():
         FeatureDataset(np.zeros((1, 3)), [{-1}], np.full(1, ROLE_TRAIN))
     with pytest.raises(ValueError):
         FeatureDataset(np.zeros((1, 3)), [{0}], np.array(["gallery"]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FeatureDataset([[0.0, bad]], [{0}], np.full(1, ROLE_TRAIN))
 
 
 def test_dataset_keeps_long_role_names_intact():
@@ -73,8 +76,9 @@ def test_synthetic_zero_noise_duplicates_class_center():
 def test_synthetic_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         generate_synthetic(0, 3, 4, 1.0, seed=0)
-    with pytest.raises(ConfigError):
-        generate_synthetic(2, 3, 4, -0.5, seed=0)
+    for sigma in (-0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            generate_synthetic(2, 3, 4, sigma, seed=0)
 
 
 # --- CSV round-trip ----------------------------------------------------------
@@ -115,6 +119,9 @@ def test_load_tolerates_trailing_blank_line(tmp_path):
     ("justonefield\n", "line 1"),
     ("-3,1.0\n", "line 1"),
     (";,1.0\n", "line 1"),
+    ("0,1.0,nan\n", "line 1: features must be finite"),
+    ("0,1.0,2.0\n1,inf,1.0\n", "line 2: features must be finite"),
+    ("0,1.0\n\n1,-inf\n", "line 3: features must be finite"),
     ("", "no data"),
 ])
 def test_load_reports_offending_line(tmp_path, content, fragment):

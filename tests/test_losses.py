@@ -68,10 +68,14 @@ def test_relaxed_loss_shape_checks():
 
 
 def test_relaxed_rejects_bad_eta_and_nonfinite():
-    with pytest.raises(ValueError):
-        relaxed_hash_loss([[1.0]], [[1]], eta=-1.0)
-    with pytest.raises(ValueError):
-        relaxed_hash_loss([[np.inf]], [[1]], eta=1.0)
+    for fn in (relaxed_hash_loss, relaxed_hash_loss_grad):
+        for eta in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                fn([[0.5, -0.2]], [[1]], eta=eta)
+        with pytest.raises(ValueError):
+            fn([[np.inf]], [[1]], eta=1.0)
+        with pytest.raises(ValueError):
+            fn(np.zeros((2, 0)), np.ones((2, 2)), eta=1.0)  # K = 0
 
 
 @settings(max_examples=60)

@@ -20,7 +20,7 @@ from nmhash.metrics import (
     retrieve,
     sign_pm1,
 )
-from oracles import (ap_from_flags, brute_force_map,
+from oracles import (ap_from_flags, brute_force_map, brute_force_pr_curve,
                      brute_force_radius_precision, brute_force_top_n,
                      code_distance)
 
@@ -282,6 +282,8 @@ def test_ternary_retrieval_matches_brute_force():
         n_values = list(range(1, g.shape[0] + 1))
         assert precision_at_top_n(q, ql, g, gl, n_values) == pytest.approx(
             brute_force_top_n(q, ql, g, gl, n_values), abs=1e-12)
+        # counts are exact and each ratio is one rounding, so equal bits
+        assert pr_curve(q, ql, g, gl) == brute_force_pr_curve(q, ql, g, gl)
 
 
 def test_ternary_bit_scores_match_brute_force():
