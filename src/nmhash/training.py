@@ -712,11 +712,10 @@ class TrainingRun:
         u1, cache = forward(self.net, self.features[rows])
         u2, head_cache = forward(head, u1)
         d2 = relaxed_hash_loss_grad(u2, self._batch_similarity(rows), cfg.eta)
-        # backward returns no input gradient; take it before either update
+        # backward returns no input gradient; take it before the head moves
         d1 = d2 @ self.fc_w.T
-        head_grads = backward(head, head_cache, d2)
         sgd_step(self.net, backward(self.net, cache, d1), cfg.backbone_sgd)
-        sgd_step(head, head_grads, cfg.backbone_sgd)
+        sgd_step(head, backward(head, head_cache, d2), cfg.backbone_sgd)
         return {}
 
     def _bit_scores(self, b_index, rows) -> np.ndarray | None:
