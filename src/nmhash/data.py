@@ -47,6 +47,8 @@ class FeatureDataset:
             raise ValueError("every item needs at least one label")
         if any(v < 0 for s in self.labels for v in s):
             raise ValueError("label ids must be nonnegative")
+        if any(v >= 2**63 for s in self.labels for v in s):
+            raise ValueError("label ids must fit in int64")
         # widen explicitly: np.full(n, "train") would truncate "validation"
         self.roles = np.asarray(self.roles, dtype="<U10")
         if self.roles.shape != (self.n_items,):
@@ -123,6 +125,9 @@ def load_features(path) -> FeatureDataset:
                 raise DataFormatError(
                     f"line {lineno}: label ids must be nonnegative"
                 )
+            if max(ids) >= 2**63:
+                raise DataFormatError(
+                    f"line {lineno}: label id {max(ids)} does not fit in int64")
             try:
                 feats = [float(tok) for tok in fields[1:]]
             except ValueError:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import (_ap_per_query, _distance, _pairing, _ranked_relevance,
+from .metrics import (_ap_per_query, _keys, _pairing, _ranked_relevance,
                       relevance_matrix, sign_pm1)
 
 
@@ -95,8 +95,8 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
     dots = q @ g.T
     scores = np.empty(k)
     for bit in range(k):
-        dist = _distance(dots - np.outer(q[:, bit], g[:, bit]), k - 1)
-        _, rel_ranked = _ranked_relevance(dist, rel)
+        keys = _keys(dots - np.outer(q[:, bit], g[:, bit]), k - 1)
+        _, rel_ranked = _ranked_relevance(keys, rel)
         scores[bit] = _ap_per_query(rel_ranked).mean()
     return scores
 

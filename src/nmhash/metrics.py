@@ -1,25 +1,26 @@
 """Retrieval metrics over binary hash codes.
 
 Codes are row vectors with entries in {-1, 0, +1}; a 0 entry can only come
-from a tied majority vote of a merged bit group.  Every ranking used here
-sorts by the inner-product form of the Hamming distance,
-
-    d(a, b) = (K - a.b) / 2,
-
-which is exact in float64 for this alphabet (a 0-valued bit contributes 1/2
-against either sign).  Ties are broken by ascending gallery index, so all
-metrics are deterministic functions of their inputs.  Each part of this
-comparison rule is written once, and every entry point here and
-merging.score_neurons use it: _pairing (code alphabet, one code length,
-one label set per row), _distance, _ranked_relevance and _ap_per_query.
+from a tied majority vote of a merged bit group.  The Hamming distance
+d(a, b) = (K - a.b) / 2 counts a 0-valued bit as 1/2 against either sign,
+so every ranking and threshold here uses the exact integer key 2d = K - a.b
+(_keys); pairwise_hamming alone returns the float d.  Ties are broken by
+ascending gallery index, so all metrics are deterministic functions of
+their inputs.  Each part of this comparison rule is written once, and every
+entry point here and merging.score_neurons use it: _pairing (code alphabet,
+one code length, one label set per row), _keys, _ranked_relevance (sorts
+keys) and _ap_per_query; precision_at_hamming_radius and pr_curve count
+keys.
 
 Labels are multi-label: each item carries a non-empty set of integer label
-ids, and two items count as relevant to each other when the sets intersect.
+ids that fit in int64, and two items count as relevant to each other when
+the sets intersect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,12 +48,9 @@ def as_code_matrix(codes) -> np.ndarray:
 
 
 def _pairing(query_codes, gallery_codes, rel=None):
-    """(q, g) code matrices of one code length, checked against rel.
-
-    rel, when given, is the relevance matrix built from the two label
-    sequences; it must hold one row per query and one column per gallery
-    item.
-    """
+    """(q, g) code matrices of one code length, checked against rel, the
+    relevance matrix of the two label sequences when given: it must hold
+    one row per query and one column per gallery item."""
     q = as_code_matrix(query_codes)
     g = as_code_matrix(gallery_codes)
     if q.shape[1] != g.shape[1]:
@@ -64,43 +62,44 @@ def _pairing(query_codes, gallery_codes, rel=None):
     return q, g
 
 
-def _distance(dots, k):
-    """Hamming distances of K-bit codes from their inner products."""
-    return (k - dots) / 2.0
+def _keys(dots, k):
+    """Exact integer keys 2d = K - a.b from inner products of K-bit codes:
+    int16 (radix-sorted) while 2K <= 32767, else int32; K alone decides."""
+    return (k - dots).astype(np.int16 if 2 * k <= 32767 else np.int32)
 
 
 def pairwise_hamming(query_codes, gallery_codes) -> np.ndarray:
     """Distance matrix (n_query, n_gallery) between two code matrices."""
     q, g = _pairing(query_codes, gallery_codes)
-    return _distance(q @ g.T, q.shape[1])
+    return _keys(q @ g.T, q.shape[1]) / 2.0
 
 
-def _label_sets(labels) -> list[frozenset]:
-    out = []
-    for i, item in enumerate(labels):
-        s = frozenset(int(v) for v in item)
-        if not s:
-            raise ValueError(f"item {i} has an empty label set")
-        out.append(s)
-    if not out:
+def _label_ids(labels):
+    """Flat int64 label ids of a label sequence, and the count per item."""
+    counts = np.fromiter(map(len, labels), np.int64)
+    if counts.size == 0:
         raise ValueError("empty label sequence")
-    return out
+    if not counts.all():
+        raise ValueError(f"item {counts.argmin()} has an empty label set")
+    try:
+        ids = np.fromiter(chain.from_iterable(labels), np.int64, counts.sum())
+    except OverflowError:
+        i = next(i for i, item in enumerate(labels)
+                 if not all(-2**63 <= int(v) < 2**63 for v in item))
+        raise ValueError(f"item {i} has a label id beyond int64") from None
+    return ids, counts
 
 
 def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
     """Boolean (n_query, n_gallery) matrix of label-set intersection."""
-    qs = _label_sets(query_labels)
-    gs = _label_sets(gallery_labels)
-    vocab = {lab: k for k, lab in enumerate(sorted(set().union(*qs, *gs)))}
-    lq = np.zeros((len(qs), len(vocab)))
-    lg = np.zeros((len(gs), len(vocab)))
-    for i, s in enumerate(qs):
-        for lab in s:
-            lq[i, vocab[lab]] = 1.0
-    for j, s in enumerate(gs):
-        for lab in s:
-            lg[j, vocab[lab]] = 1.0
-    return (lq @ lg.T) > 0.0
+    q_ids, q_counts = _label_ids(query_labels)
+    g_ids, g_counts = _label_ids(gallery_labels)
+    vocab, column = np.unique(np.concatenate([q_ids, g_ids]),
+                              return_inverse=True)
+    counts = np.concatenate([q_counts, g_counts])
+    ind = np.zeros((counts.size, vocab.size))
+    ind[np.repeat(np.arange(counts.size), counts), column] = 1.0
+    return ind[:q_counts.size] @ ind[q_counts.size:].T > 0
 
 
 def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
@@ -125,10 +124,21 @@ class RetrievalResult:
     average_precisions: np.ndarray
 
 
-def _ranked_relevance(dist, rel):
-    """Per query: gallery order by (distance, gallery index), and its flags."""
-    # stable sort keeps ascending gallery index among equal distances
-    order = np.argsort(dist, axis=1, kind="stable")
+def _ranked_relevance(keys, rel, top_r=None):
+    """Per query: gallery order by (key, gallery index), and its flags.
+
+    A stable sort keeps ascending gallery index among equal keys.  With
+    top_r, a row keeps its first top_r entries: only those at or below its
+    cut, the first key whose cumulative count reaches top_r, are sorted.
+    """
+    if top_r is None:
+        order = np.argsort(keys, axis=1, kind="stable")
+    else:
+        order = np.empty((keys.shape[0], top_r), dtype=np.intp)
+        for i, row in enumerate(keys):
+            cut = np.argmax(np.bincount(row).cumsum() >= top_r)
+            near = np.flatnonzero(row <= cut)
+            order[i] = near[np.argsort(row[near], kind="stable")[:top_r]]
     return order, np.take_along_axis(rel, order, axis=1)
 
 
@@ -145,10 +155,8 @@ def retrieve(query_codes, query_labels, gallery_codes, gallery_labels,
         raise ValueError(
             f"top_r must be in [1, {g.shape[0]}], got {top_r}"
         )
-    order, rel_ranked = _ranked_relevance(_distance(q @ g.T, q.shape[1]), rel)
-    if top_r is not None:
-        order = order[:, :top_r]
-        rel_ranked = rel_ranked[:, :top_r]
+    order, rel_ranked = _ranked_relevance(_keys(q @ g.T, q.shape[1]), rel,
+                                          top_r)
     return RetrievalResult(order, rel_ranked.astype(np.int64),
                            _ap_per_query(rel_ranked))
 
@@ -171,7 +179,7 @@ def precision_at_hamming_radius(query_codes, query_labels, gallery_codes,
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
     rel = relevance_matrix(query_labels, gallery_labels)
     q, g = _pairing(query_codes, gallery_codes, rel)
-    inside = _distance(q @ g.T, q.shape[1]) <= radius
+    inside = _keys(q @ g.T, q.shape[1]) <= 2 * radius
     n_inside = inside.sum(axis=1).astype(np.float64)
     n_good = (inside & rel).sum(axis=1).astype(np.float64)
     # nothing inside means nothing relevant inside either: 0 / 1
@@ -195,17 +203,13 @@ def pr_curve(query_codes, query_labels, gallery_codes,
     rel = relevance_matrix(query_labels, gallery_labels)
     q, g = _pairing(query_codes, gallery_codes, rel)
     k = q.shape[1]
-    dist = _distance(q @ g.T, k)
-    n_rel_total = float(rel.sum())
-    points = []
-    for t in np.arange(0.0, k + 0.5, 0.5):
-        retrieved = dist <= t
-        n_ret = float(retrieved.sum())
-        n_good = float((retrieved & rel).sum())
-        precision = n_good / n_ret if n_ret > 0 else 0.0
-        recall = n_good / n_rel_total if n_rel_total > 0 else 0.0
-        points.append(PrPoint(float(t), precision, recall))
-    return points
+    keys = _keys(q @ g.T, k)
+    # pairs retrieved, and relevant pairs retrieved, at each key 0 .. 2K
+    n_ret = np.bincount(keys.ravel(), minlength=2 * k + 1).cumsum().tolist()
+    n_good = np.bincount(keys[rel], minlength=2 * k + 1).cumsum().tolist()
+    return [PrPoint(t / 2, good / ret if ret else 0.0,
+                    good / n_good[-1] if n_good[-1] else 0.0)
+            for t, (ret, good) in enumerate(zip(n_ret, n_good))]
 
 
 def precision_at_top_n(query_codes, query_labels, gallery_codes,
@@ -218,6 +222,7 @@ def precision_at_top_n(query_codes, query_labels, gallery_codes,
             raise ValueError(
                 f"top-n value {n} outside gallery size {g.shape[0]}"
             )
-    _, rel_ranked = _ranked_relevance(_distance(q @ g.T, q.shape[1]), rel)
+    _, rel_ranked = _ranked_relevance(_keys(q @ g.T, q.shape[1]), rel,
+                                      max(map(int, n_values), default=1))
     cum = np.cumsum(rel_ranked.astype(np.float64), axis=1)
     return [float((cum[:, int(n) - 1] / float(n)).mean()) for n in n_values]

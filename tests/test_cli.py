@@ -134,6 +134,16 @@ def test_train_missing_data_file(tmp_path, capsys):
     _err_line(capsys)
 
 
+def test_train_refuses_a_label_id_beyond_int64(data_file, tmp_path, capsys):
+    lines = data_file.read_text().splitlines()
+    lines[0] = "1180591620717411303424" + lines[0][lines[0].index(","):]
+    bad = tmp_path / "big-label.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--data", str(bad), *TRAIN_FLAGS]) == 1
+    assert ("line 1: label id 1180591620717411303424 does not fit in int64"
+            in _err_line(capsys))
+
+
 def test_train_names_the_line_of_a_non_finite_feature(data_file, tmp_path,
                                                       capsys):
     lines = data_file.read_text().splitlines()

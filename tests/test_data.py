@@ -37,6 +37,15 @@ def test_dataset_validation():
             FeatureDataset([[0.0, bad]], [{0}], np.full(1, ROLE_TRAIN))
 
 
+def test_dataset_refuses_label_ids_beyond_int64():
+    ok = FeatureDataset(np.zeros((1, 2)), [{2**63 - 1}], np.full(1, ROLE_TRAIN))
+    assert ok.labels == [frozenset({2**63 - 1})]
+    for big in (2**63, 1180591620717411303424):
+        with pytest.raises(ValueError, match="label ids must fit in int64"):
+            FeatureDataset(np.zeros((2, 2)), [{0}, {1, big}],
+                           np.full(2, ROLE_TRAIN))
+
+
 def test_dataset_keeps_long_role_names_intact():
     # "validation" must survive numpy string-width coercion
     roles = np.array([ROLE_TRAIN, ROLE_VALIDATION, ROLE_QUERY])
@@ -122,6 +131,8 @@ def test_load_tolerates_trailing_blank_line(tmp_path):
     ("0,1.0,nan\n", "line 1: features must be finite"),
     ("0,1.0,2.0\n1,inf,1.0\n", "line 2: features must be finite"),
     ("0,1.0\n\n1,-inf\n", "line 3: features must be finite"),
+    ("0,1.0\n1;9223372036854775808,2.0\n",
+     "line 2: label id 9223372036854775808 does not fit in int64"),
     ("", "no data"),
 ])
 def test_load_reports_offending_line(tmp_path, content, fragment):

@@ -129,6 +129,16 @@ def test_label_similarity_rejects_empty():
         build_similarity([{1}], [{1}, set()])
 
 
+def test_relevance_matrix_refuses_label_ids_beyond_int64():
+    big = 2**63
+    assert relevance_matrix([{big - 1}], [{0}, {big - 1}]).tolist() == \
+        [[False, True]]
+    with pytest.raises(ValueError, match="item 1 has a label id beyond int64"):
+        relevance_matrix([{0}], [{1}, {2, 1180591620717411303424}])
+    with pytest.raises(ValueError, match="item 0 has a label id beyond int64"):
+        relevance_matrix([{-big - 1}], [{0}])
+
+
 def test_relevance_matrix_single_and_multi_label():
     rel = relevance_matrix([{0}, {1}], [{0}, {1}, {0, 1}])
     np.testing.assert_array_equal(
@@ -272,6 +282,8 @@ def test_ternary_retrieval_matches_brute_force():
         cut = retrieve(q, ql, g, gl, top_r=top_r)
         for i, order in enumerate(rankings):
             flags = [1 if ql[i] & gl[j] else 0 for j in order[:top_r]]
+            np.testing.assert_array_equal(cut.ranked_indices[i],
+                                          order[:top_r])
             np.testing.assert_array_equal(cut.ranked_relevance[i], flags)
             assert cut.average_precisions[i] == \
                 pytest.approx(ap_from_flags(flags), abs=1e-12)
@@ -284,6 +296,60 @@ def test_ternary_retrieval_matches_brute_force():
             brute_force_top_n(q, ql, g, gl, n_values), abs=1e-12)
         # counts are exact and each ratio is one rounding, so equal bits
         assert pr_curve(q, ql, g, gl) == brute_force_pr_curve(q, ql, g, gl)
+
+
+def _check_cuts_against_oracle(q, ql, g, gl, top_rs):
+    expected, rankings = brute_force_map(q, ql, g, gl)
+    full = retrieve(q, ql, g, gl)
+    np.testing.assert_array_equal(full.ranked_indices, rankings)
+    assert full.average_precisions.mean() == pytest.approx(expected,
+                                                           abs=1e-12)
+    for top_r in top_rs:
+        cut = retrieve(q, ql, g, gl, top_r=top_r)
+        np.testing.assert_array_equal(
+            cut.ranked_indices, [order[:top_r] for order in rankings])
+        for i, order in enumerate(rankings):
+            flags = [1 if ql[i] & gl[j] else 0 for j in order[:top_r]]
+            np.testing.assert_array_equal(cut.ranked_relevance[i], flags)
+            assert cut.average_precisions[i] == \
+                pytest.approx(ap_from_flags(flags), abs=1e-12)
+        assert precision_at_top_n(q, ql, g, gl, [top_r]) == pytest.approx(
+            brute_force_top_n(q, ql, g, gl, [top_r]), abs=1e-12)
+
+
+def test_top_r_cut_inside_runs_of_tied_keys():
+    # 3 ternary bits give 7 keys, so ~2,000 gallery items fall into long
+    # runs of equal distance, and the cut must keep gallery-index order
+    rng = np.random.default_rng(77)
+    q = rng.integers(-1, 2, (4, 3))
+    g = rng.integers(-1, 2, (2000, 3))
+    ql = [{int(v)} for v in rng.integers(0, 3, 4)]
+    gl = [{int(v)} for v in rng.integers(0, 3, 2000)]
+    dist = sorted(code_distance(q[0], row) for row in g)
+    below = sum(1 for d in dist if d < dist[700])
+    run = sum(1 for d in dist if d == dist[700])
+    inside = below + run // 2
+    assert run > 100 and dist[inside - 1] == dist[inside]  # a tie straddles it
+    _check_cuts_against_oracle(q, ql, g, gl, (1, inside, 2000))
+
+
+def test_int32_keys_past_2k_of_32767():
+    # K = 16,384 puts the antipodal key 2K = 32,768 past int16
+    rng = np.random.default_rng(5)
+    k = 16384
+    q = rng.integers(-1, 2, (3, k))
+    q[0] = rng.choice([-1, 1], k)
+    g = np.vstack([-q[0], q[0],
+                   rng.integers(-1, 2, (5, k)), -q[1]])
+    ql = [{0}, {1}, {0, 2}]
+    gl = [{0}, {1}, {2}, {0}, {1}, {3}, {2}, {0}]
+    assert pairwise_hamming(q[:1], g[:1])[0, 0] == k
+    _check_cuts_against_oracle(q, ql, g, gl, (1, 4, 8))
+    assert pr_curve(q, ql, g, gl) == brute_force_pr_curve(q, ql, g, gl)
+    for radius in (0.0, 8191.5, 8192.0, 16383.5, 16384.0):
+        assert precision_at_hamming_radius(q, ql, g, gl, radius) == \
+            pytest.approx(brute_force_radius_precision(q, ql, g, gl, radius),
+                          abs=1e-12)
 
 
 def test_ternary_bit_scores_match_brute_force():
