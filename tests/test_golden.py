@@ -3,7 +3,8 @@
 tests/golden.json holds the sha256 of:
 - the README CLI run (gen-data defaults; train 24 -> 16 bits, m 4, base 30,
   lr 1e-7, seed 1): its data file, report and checkpoint, the `evaluate
-  --radius 2.0` and `profile` documents and the four `export-curves` files;
+  --radius 2.0`, `evaluate --top-r 50 --top-n 1,5,10` and `profile`
+  documents and the four `export-curves` files;
 - the report and checkpoint of each variant on the small config
   (generate_synthetic(4, 8, 40, 2.0, 0), 8 -> 5 bits, m 2, base 3, n0 2,
   n1 2, batch 32, hidden 16, lr 1e-6, seed 1; baseline at 5 bits).
@@ -60,6 +61,7 @@ def readme_run(work: Path) -> dict:
     data, ckpt = work / "bench.csv", work / "run.ckpt"
     files = {"data": data, "report": work / "report.json", "checkpoint": ckpt,
              "evaluate": work / "evaluate.json",
+             "evaluate_top": work / "evaluate_top.json",
              "profile": work / "profile.json"}
     _cli("gen-data", "--out", data)
     _cli("train", "--data", data, "--b-in", 24, "--b-out", 16, "--m", 4,
@@ -67,6 +69,8 @@ def readme_run(work: Path) -> dict:
          "--out-checkpoint", ckpt, "--out-report", files["report"])
     _cli("evaluate", "--checkpoint", ckpt, "--data", data, "--radius", 2.0,
          "--out", files["evaluate"])
+    _cli("evaluate", "--checkpoint", ckpt, "--data", data, "--top-r", 50,
+         "--top-n", "1,5,10", "--out", files["evaluate_top"])
     _cli("profile", "--checkpoint", ckpt, "--data", data,
          "--out", files["profile"])
     _cli("export-curves", "--checkpoint", ckpt, "--data", data,
