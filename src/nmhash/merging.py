@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import (_ap_per_query, _keys, _pairing, _ranked_relevance,
+from .metrics import (_ap_per_query, _keys, _packed, _pairing,
                       relevance_matrix, sign_pm1)
 
 
@@ -89,15 +89,22 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
     k = q.shape[1]
     if k < 2:
         raise ConfigError("scoring needs at least 2 effective bits")
-    # dot products of {-1,0,1} codes are exact, so removing one column by
-    # subtracting its outer product reproduces the direct computation
-    # bit for bit, ranking ties included.
-    dots = q @ g.T
+    # without bit b the key K - a.b becomes key - 1 + q_b g_b.  The packed
+    # values shift by exact integers, so every ranking, ties included, is
+    # the direct computation's bit for bit.
+    packed = _packed(_keys(q @ g.T, k), k, rel)
+    step = 2 * g.shape[0]
+    packed -= step
+    q_bits = q.T.astype(packed.dtype)
+    g_steps = (step * g.T).astype(packed.dtype)
+    ranked = np.empty_like(packed)
     scores = np.empty(k)
     for bit in range(k):
-        keys = _keys(dots - np.outer(q[:, bit], g[:, bit]), k - 1)
-        _, rel_ranked = _ranked_relevance(keys, rel)
-        scores[bit] = _ap_per_query(rel_ranked).mean()
+        np.multiply.outer(q_bits[bit], g_steps[bit], out=ranked)
+        ranked += packed
+        ranked.sort(axis=1)
+        ranked &= 1
+        scores[bit] = _ap_per_query(ranked).mean()
     return scores
 
 

@@ -6,11 +6,14 @@ d(a, b) = (K - a.b) / 2 counts a 0-valued bit as 1/2 against either sign,
 so every ranking and threshold here uses the exact integer key 2d = K - a.b
 (_keys); pairwise_hamming alone returns the float d.  Ties are broken by
 ascending gallery index, so all metrics are deterministic functions of
-their inputs.  Each part of this comparison rule is written once, and every
-entry point here and merging.score_neurons use it: _pairing (code alphabet,
-one code length, one label set per row), _keys, _ranked_relevance (sorts
-keys) and _ap_per_query; precision_at_hamming_radius and pr_curve count
-keys.
+their inputs.  A ranking is one plain integer sort: _packed folds each
+pair into key * 2G + 2 * gallery index + relevance flag, over a gallery of
+G items, and these distinct values ascend by (key, gallery index).  Each
+part of this comparison rule is written once, and every entry point here
+and merging.score_neurons use it: _pairing (code alphabet, one code
+length, one label set per row), _keys, _packed, _ranked_relevance (sorts
+packed values) and _ap_per_query; precision_at_hamming_radius and
+pr_curve count keys.
 
 Labels are multi-label: each item carries a non-empty set of integer label
 ids that fit in int64, and two items count as relevant to each other when
@@ -64,7 +67,7 @@ def _pairing(query_codes, gallery_codes, rel=None):
 
 def _keys(dots, k):
     """Exact integer keys 2d = K - a.b from inner products of K-bit codes:
-    int16 (radix-sorted) while 2K <= 32767, else int32; K alone decides."""
+    int16 while 2K <= 32767, else int32; K alone decides."""
     return (k - dots).astype(np.int16 if 2 * k <= 32767 else np.int32)
 
 
@@ -105,9 +108,12 @@ def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
 def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
     """AP of each row of ranked 0/1 flags: the mean precision@k over the
     relevant ranks k, and 0 for a row with no hit."""
-    flags = rel_ranked.astype(np.float64)
-    prec = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
-    return (prec * flags).sum(axis=1) / np.maximum(flags.sum(axis=1), 1.0)
+    # counts are exact in float64, so the last one is the row's hit count
+    prec = np.cumsum(rel_ranked, axis=1, dtype=np.float64)
+    hits = prec[:, -1].copy()
+    prec /= np.arange(1, prec.shape[1] + 1)
+    prec *= rel_ranked
+    return prec.sum(axis=1) / np.maximum(hits, 1.0)
 
 
 @dataclass
@@ -124,22 +130,36 @@ class RetrievalResult:
     average_precisions: np.ndarray
 
 
-def _ranked_relevance(keys, rel, top_r=None):
+def _packed(keys, k, rel):
+    """key * 2G + 2 * gallery index + rel per pair, over a gallery of G.
+
+    The values in a row are distinct and ascend by (key, gallery index),
+    so a plain sort ranks the row; v & 1 is the flag and (v >> 1) % G the
+    gallery index.  int32 while (2K + 1) * 2G < 2**31, else int64: K and G
+    alone decide.
+    """
+    g = keys.shape[1]
+    packed = keys.astype(np.int32 if (2 * k + 1) * 2 * g < 2**31
+                         else np.int64)
+    packed *= 2 * g
+    packed += np.arange(0, 2 * g, 2, dtype=packed.dtype)
+    packed += rel
+    return packed
+
+
+def _ranked_relevance(keys, k, rel, top_r=None):
     """Per query: gallery order by (key, gallery index), and its flags.
 
-    A stable sort keeps ascending gallery index among equal keys.  With
-    top_r, a row keeps its first top_r entries: only those at or below its
-    cut, the first key whose cumulative count reaches top_r, are sorted.
+    keys are those of K-bit codes.  With top_r, a row keeps its first top_r
+    entries: a partition at top_r - 1 gathers them, and only they are
+    sorted.
     """
-    if top_r is None:
-        order = np.argsort(keys, axis=1, kind="stable")
-    else:
-        order = np.empty((keys.shape[0], top_r), dtype=np.intp)
-        for i, row in enumerate(keys):
-            cut = np.argmax(np.bincount(row).cumsum() >= top_r)
-            near = np.flatnonzero(row <= cut)
-            order[i] = near[np.argsort(row[near], kind="stable")[:top_r]]
-    return order, np.take_along_axis(rel, order, axis=1)
+    packed = _packed(keys, k, rel)
+    if top_r is not None:
+        packed = np.partition(packed, top_r - 1, axis=1)[:, :top_r]
+    packed.sort(axis=1)
+    order = (packed >> 1) % keys.shape[1]
+    return order.astype(np.intp), packed & 1
 
 
 def retrieve(query_codes, query_labels, gallery_codes, gallery_labels,
@@ -155,8 +175,8 @@ def retrieve(query_codes, query_labels, gallery_codes, gallery_labels,
         raise ValueError(
             f"top_r must be in [1, {g.shape[0]}], got {top_r}"
         )
-    order, rel_ranked = _ranked_relevance(_keys(q @ g.T, q.shape[1]), rel,
-                                          top_r)
+    k = q.shape[1]
+    order, rel_ranked = _ranked_relevance(_keys(q @ g.T, k), k, rel, top_r)
     return RetrievalResult(order, rel_ranked.astype(np.int64),
                            _ap_per_query(rel_ranked))
 
@@ -222,7 +242,8 @@ def precision_at_top_n(query_codes, query_labels, gallery_codes,
             raise ValueError(
                 f"top-n value {n} outside gallery size {g.shape[0]}"
             )
-    _, rel_ranked = _ranked_relevance(_keys(q @ g.T, q.shape[1]), rel,
+    k = q.shape[1]
+    _, rel_ranked = _ranked_relevance(_keys(q @ g.T, k), k, rel,
                                       max(map(int, n_values), default=1))
     cum = np.cumsum(rel_ranked.astype(np.float64), axis=1)
     return [float((cum[:, int(n) - 1] / float(n)).mean()) for n in n_values]

@@ -10,6 +10,8 @@ from nmhash.errors import InvalidCodeError
 from nmhash.merging import score_neurons
 from nmhash.metrics import (
     _ap_per_query,
+    _packed,
+    _ranked_relevance,
     as_code_matrix,
     mean_average_precision,
     pairwise_hamming,
@@ -352,6 +354,28 @@ def test_int32_keys_past_2k_of_32767():
                           abs=1e-12)
 
 
+@pytest.mark.parametrize("k, dtype", [(107374181, np.int32),
+                                      (107374182, np.int64)])
+def test_packed_width_either_side_of_its_bound(k, dtype):
+    # with G = 5, (2K + 1) * 2G is 2**31 - 18 for the first K and 2**31 + 2
+    # for the second: its packed values for key 2K at gallery index 4 pass
+    # 2**31 - 1, so in int32 they would wrap negative and rank first
+    top = 2 * k
+    keys = np.array([[top, 0, top, top - 1, top],
+                     [top - 1, top, top - 1, top, top],
+                     [top, top, top, top, top]], dtype=np.int32)
+    rel = np.array([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 0, 0, 1, 1]],
+                   dtype=bool)
+    assert _packed(keys, k, rel).dtype == dtype
+    index = np.arange(keys.shape[1])
+    order = np.array([np.lexsort((index, row)) for row in keys])
+    for top_r in (None, 1, keys.shape[1]):
+        got_order, got_flags = _ranked_relevance(keys, k, rel, top_r)
+        np.testing.assert_array_equal(got_order, order[:, :top_r])
+        np.testing.assert_array_equal(
+            got_flags, np.take_along_axis(rel, order[:, :top_r], axis=1))
+
+
 def test_ternary_bit_scores_match_brute_force():
     rng = np.random.default_rng(654)
     for _ in range(40):
@@ -361,6 +385,26 @@ def test_ternary_bit_scores_match_brute_force():
             keep = [c for c in range(q.shape[1]) if c != bit]
             expected, _ = brute_force_map(q[:, keep], ql, g[:, keep], gl)
             assert p[bit] == pytest.approx(expected, abs=1e-12)
+
+
+def test_bit_scores_equal_map_without_the_bit_exactly():
+    # score_neurons ranks by the full key shifted by exact integers, so
+    # each score is the MAP of the codes without that bit, bit for bit
+    rng = np.random.default_rng(2468)
+    instances = [random_ternary_instance(rng, min_bits=2) for _ in range(40)]
+    instances.append((rng.integers(-1, 2, (40, 12)),
+                      [{int(v)} for v in rng.integers(0, 6, 40)],
+                      rng.integers(-1, 2, (300, 12)),
+                      [{int(v)} for v in rng.integers(0, 6, 300)]))
+    for q, ql, g, gl in instances:
+        # a query row that no gallery item is relevant to
+        q = np.vstack([q, rng.integers(-1, 2, q.shape[1])])
+        ql = ql + [{99}]
+        p = score_neurons(g, gl, q, ql)
+        for bit in range(q.shape[1]):
+            keep = [c for c in range(q.shape[1]) if c != bit]
+            assert p[bit] == mean_average_precision(q[:, keep], ql,
+                                                    g[:, keep], gl)
 
 
 # --- pairing refusals --------------------------------------------------------
