@@ -92,7 +92,7 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
     # without bit b the key K - a.b becomes key - 1 + q_b g_b.  The packed
     # values shift by exact integers, so every ranking, ties included, is
     # the direct computation's bit for bit.
-    packed = _packed(_keys(q @ g.T, k), k, rel)
+    packed = _packed(_keys(q, g), k, rel)
     step = 2 * g.shape[0]
     packed -= step
     q_bits = q.T.astype(packed.dtype)

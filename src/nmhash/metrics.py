@@ -13,7 +13,8 @@ part of this comparison rule is written once, and every entry point here
 and merging.score_neurons use it: _pairing (code alphabet, one code
 length, one label set per row), _keys, _packed, _ranked_relevance (sorts
 packed values) and _ap_per_query; precision_at_hamming_radius and
-pr_curve count keys.
+pr_curve count keys.  _keys and relevance_matrix take their products
+through _products, which runs a small one in blocks for one BLAS thread.
 
 Labels are multi-label: each item carries a non-empty set of integer label
 ids that fit in int64, and two items count as relevant to each other when
@@ -65,16 +66,43 @@ def _pairing(query_codes, gallery_codes, rel=None):
     return q, g
 
 
-def _keys(dots, k):
-    """Exact integer keys 2d = K - a.b from inner products of K-bit codes:
-    int16 while 2K <= 32767, else int32; K alone decides."""
-    return (k - dots).astype(np.int16 if 2 * k <= 32767 else np.int32)
+# OpenBLAS runs a product of at most 4 * 65,536 multiply-adds on the calling
+# thread and may split a larger one with a worker thread.  On a busy
+# machine that hand-off can stall for a millisecond, many times what a
+# retrieval request's product takes on one thread (about 50 us for 32
+# queries over 1,600 items of 16 bits).  So a product that fits in
+# _MAX_BLOCKS blocks of gallery rows of at most that size runs block by
+# block; a larger one runs whole, long enough for its threads to pay.
+_ONE_THREAD = 4 * 65536
+_MAX_BLOCKS = 16
+
+
+def _products(a, b):
+    """a @ b.T by blocks of b's rows: (column slice, product) pairs."""
+    n = b.shape[0]
+    step = _ONE_THREAD // (a.shape[0] * a.shape[1])
+    if step * _MAX_BLOCKS < n:
+        step = n
+    for start in range(0, n, max(step, 1)):
+        cols = slice(start, start + step)
+        yield cols, a @ b[cols].T
+
+
+def _keys(q, g):
+    """Exact integer keys 2d = K - a.b between the rows of two K-bit code
+    matrices: int16 while 2K <= 32767, else int32; K alone decides."""
+    k = q.shape[1]
+    keys = np.empty((q.shape[0], g.shape[0]),
+                    np.int16 if 2 * k <= 32767 else np.int32)
+    for cols, dots in _products(q, g):
+        np.subtract(k, dots, out=keys[:, cols], casting="unsafe")
+    return keys
 
 
 def pairwise_hamming(query_codes, gallery_codes) -> np.ndarray:
     """Distance matrix (n_query, n_gallery) between two code matrices."""
     q, g = _pairing(query_codes, gallery_codes)
-    return _keys(q @ g.T, q.shape[1]) / 2.0
+    return _keys(q, g) / 2.0
 
 
 def _label_ids(labels):
@@ -102,7 +130,10 @@ def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
     counts = np.concatenate([q_counts, g_counts])
     ind = np.zeros((counts.size, vocab.size))
     ind[np.repeat(np.arange(counts.size), counts), column] = 1.0
-    return ind[:q_counts.size] @ ind[q_counts.size:].T > 0
+    rel = np.empty((q_counts.size, g_counts.size), dtype=bool)
+    for cols, shared in _products(ind[:q_counts.size], ind[q_counts.size:]):
+        np.greater(shared, 0, out=rel[:, cols])
+    return rel
 
 
 def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
@@ -176,7 +207,7 @@ def retrieve(query_codes, query_labels, gallery_codes, gallery_labels,
             f"top_r must be in [1, {g.shape[0]}], got {top_r}"
         )
     k = q.shape[1]
-    order, rel_ranked = _ranked_relevance(_keys(q @ g.T, k), k, rel, top_r)
+    order, rel_ranked = _ranked_relevance(_keys(q, g), k, rel, top_r)
     return RetrievalResult(order, rel_ranked.astype(np.int64),
                            _ap_per_query(rel_ranked))
 
@@ -199,7 +230,7 @@ def precision_at_hamming_radius(query_codes, query_labels, gallery_codes,
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
     rel = relevance_matrix(query_labels, gallery_labels)
     q, g = _pairing(query_codes, gallery_codes, rel)
-    inside = _keys(q @ g.T, q.shape[1]) <= 2 * radius
+    inside = _keys(q, g) <= 2 * radius
     n_inside = inside.sum(axis=1).astype(np.float64)
     n_good = (inside & rel).sum(axis=1).astype(np.float64)
     # nothing inside means nothing relevant inside either: 0 / 1
@@ -223,7 +254,7 @@ def pr_curve(query_codes, query_labels, gallery_codes,
     rel = relevance_matrix(query_labels, gallery_labels)
     q, g = _pairing(query_codes, gallery_codes, rel)
     k = q.shape[1]
-    keys = _keys(q @ g.T, k)
+    keys = _keys(q, g)
     # pairs retrieved, and relevant pairs retrieved, at each key 0 .. 2K
     n_ret = np.bincount(keys.ravel(), minlength=2 * k + 1).cumsum().tolist()
     n_good = np.bincount(keys[rel], minlength=2 * k + 1).cumsum().tolist()
@@ -243,7 +274,7 @@ def precision_at_top_n(query_codes, query_labels, gallery_codes,
                 f"top-n value {n} outside gallery size {g.shape[0]}"
             )
     k = q.shape[1]
-    _, rel_ranked = _ranked_relevance(_keys(q @ g.T, k), k, rel,
+    _, rel_ranked = _ranked_relevance(_keys(q, g), k, rel,
                                       max(map(int, n_values), default=1))
     cum = np.cumsum(rel_ranked.astype(np.float64), axis=1)
     return [float((cum[:, int(n) - 1] / float(n)).mean()) for n in n_values]

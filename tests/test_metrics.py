@@ -9,8 +9,12 @@ from nmhash.data import build_similarity
 from nmhash.errors import InvalidCodeError
 from nmhash.merging import score_neurons
 from nmhash.metrics import (
+    _MAX_BLOCKS,
+    _ONE_THREAD,
     _ap_per_query,
+    _keys,
     _packed,
+    _products,
     _ranked_relevance,
     as_code_matrix,
     mean_average_precision,
@@ -374,6 +378,34 @@ def test_packed_width_either_side_of_its_bound(k, dtype):
         np.testing.assert_array_equal(got_order, order[:, :top_r])
         np.testing.assert_array_equal(
             got_flags, np.take_along_axis(rel, order[:, :top_r], axis=1))
+
+
+@pytest.mark.parametrize("n_query, n_gallery, k, n_blocks", [
+    (32, 1600, 16, 4),     # a desk-full request
+    (600, 700, 8, 13),     # at most 54 columns a block
+    (400, 3000, 64, 1),    # more than _MAX_BLOCKS blocks: whole
+    (5000, 3, 64, 1),      # one row of g alone is past _ONE_THREAD
+])
+def test_products_in_blocks_equal_the_whole_product(n_query, n_gallery, k,
+                                                    n_blocks):
+    rng = np.random.default_rng(n_gallery)
+    q = rng.integers(-1, 2, (n_query, k)).astype(np.float64)
+    g = rng.integers(-1, 2, (n_gallery, k)).astype(np.float64)
+    blocks = list(_products(q, g))
+    assert len(blocks) == n_blocks <= _MAX_BLOCKS
+    covered = np.concatenate([np.arange(n_gallery)[cols]
+                              for cols, _ in blocks])
+    np.testing.assert_array_equal(covered, np.arange(n_gallery))
+    if n_blocks > 1:
+        assert all(dots.size * k <= _ONE_THREAD for _, dots in blocks)
+    keys = _keys(q, g)
+    assert keys.dtype == np.int16
+    np.testing.assert_array_equal(keys, k - q @ g.T)
+    labels = [{int(v)} for v in rng.integers(0, 5, n_query + n_gallery)]
+    np.testing.assert_array_equal(
+        relevance_matrix(labels[:n_query], labels[n_query:]),
+        np.equal.outer([min(s) for s in labels[:n_query]],
+                       [min(s) for s in labels[n_query:]]))
 
 
 def test_ternary_bit_scores_match_brute_force():
