@@ -7,7 +7,8 @@ tests/golden.json holds the sha256 of:
   documents and the four `export-curves` files;
 - the report and checkpoint of each variant on the small config
   (generate_synthetic(4, 8, 40, 2.0, 0), 8 -> 5 bits, m 2, base 3, n0 2,
-  n1 2, batch 32, hidden 16, lr 1e-6, seed 1; baseline at 5 bits).
+  n1 2, batch 32, hidden 16, lr 1e-6; baseline at 5 bits), at seed 1
+  and at seed 2, which draws other frozen choices.
 
 The bytes depend on the numpy and BLAS builds, so the file also records
 the environment they were taken in.  Under another environment the test
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import platform
 import sys
@@ -39,6 +41,7 @@ from nmhash.training import (VARIANT_BASELINE, VARIANTS, ExperimentConfig,
 GOLDEN = Path(__file__).with_name("golden.json")
 CURVES = ("pr_curve.csv", "topn.csv", "bit_reduction.csv",
           "loo_profile.csv")
+SEEDS = (1, 2)
 
 
 def environment() -> dict:
@@ -82,18 +85,20 @@ def readme_run(work: Path) -> dict:
 def variant_runs(work: Path) -> dict:
     dataset = generate_synthetic(4, 8, 40, 2.0, 0)
     out = {}
-    for variant in VARIANTS:
+    for seed, variant in itertools.product(SEEDS, VARIANTS):
         cfg = ExperimentConfig(
             b_in=5 if variant == VARIANT_BASELINE else 8, b_out=5, m=2,
             base_epochs=3, n0_epochs=2, n1_epochs=2, batch_size=32,
             hidden_dims=(16,), backbone_sgd=SgdConfig(learning_rate=1e-6),
-            seed=1, variant=variant)
+            seed=seed, variant=variant)
         run = TrainingRun(cfg, dataset).run()
-        ckpt = work / f"{variant}.ckpt"
+        # seed 1 keeps the unsuffixed names it was first pinned under
+        name = variant if seed == 1 else f"{variant}/seed{seed}"
+        ckpt = work / f"{variant}-{seed}.ckpt"
         save_checkpoint(run.to_checkpoint(), ckpt)
         report = run.report().to_json().encode()
-        out[f"{variant}/report"] = hashlib.sha256(report).hexdigest()
-        out[f"{variant}/checkpoint"] = _sha256(ckpt)
+        out[f"{name}/report"] = hashlib.sha256(report).hexdigest()
+        out[f"{name}/checkpoint"] = _sha256(ckpt)
     return out
 
 
