@@ -12,6 +12,7 @@ the table reports median MAP and the median spread of the leave-one-bit-out
 profile (smaller spread = less dependence on any single bit).
 """
 
+import dataclasses
 import statistics
 
 from nmhash.data import generate_synthetic
@@ -27,13 +28,14 @@ dataset = generate_synthetic(8, 16, 250, 2.0, seed=0)
 # baseline gets the same 120 epochs at the final width so the comparison
 # is budget-matched, not just width-matched.
 def make_config(variant: str, seed: int) -> ExperimentConfig:
-    if variant == "baseline":
-        return ExperimentConfig(b_in=16, b_out=16, base_epochs=120,
-                                variant=variant, seed=seed,
-                                backbone_sgd=DESK_SGD)
-    return ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
-                            variant=variant, seed=seed,
-                            backbone_sgd=DESK_SGD)
+    full = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
+                            seed=seed, backbone_sgd=DESK_SGD)
+    if variant != "baseline":
+        return dataclasses.replace(full, variant=variant)
+    epochs = full.base_epochs + full.planned_merge_rounds() * (
+        full.n0_epochs + full.n1_epochs)
+    return dataclasses.replace(full, variant=variant, b_in=full.b_out,
+                               base_epochs=epochs)
 
 
 rows = []

@@ -11,15 +11,38 @@ outputs passed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import sign_pm1
 
 
-def _residual(outputs, similarity, eta):
-    """Checked (U, R): R = U U^T - K S with a zero diagonal, K = U's width."""
+@dataclass
+class LossValue:
+    """Relaxed loss split into its two terms; total = pairwise + eta*quant."""
+
+    total: float
+    pairwise_term: float
+    quantization_term: float
+    grad: np.ndarray = field(repr=False, compare=False)  # d total / d U
+
+
+def relaxed_hash_loss(outputs, similarity, eta: float) -> LossValue:
+    """Relaxed pairwise loss on real outputs U (one batch, K columns).
+
+    pairwise_term     = sum over ordered pairs i != j of
+                        (u_i . u_j - K s_ij)^2
+    quantization_term = sum_i ||sign(u_i) - u_i||^2
+    total             = pairwise_term + eta * quantization_term
+
+    The gradient w.r.t. U, same shape as U (2-D), is row-wise
+        dU_i = sum_{j != i} 4 (u_i . u_j - K s_ij) u_j
+               + 2 eta (u_i - sign(u_i))
+    for symmetric S, the sign() treated as a constant.  The
+    implementation uses the exact form (R + R^T) U, R = U U^T - K S with
+    a zero diagonal, so an asymmetric S still differentiates correctly.
+    """
     u = np.asarray(outputs, dtype=np.float64)
     if u.ndim == 1:
         u = u[np.newaxis, :]
@@ -40,42 +63,14 @@ def _residual(outputs, similarity, eta):
         raise ValueError("similarity entries must be -1 or +1")
     resid = u @ u.T - u.shape[1] * s
     np.fill_diagonal(resid, 0.0)
-    return u, resid
-
-
-@dataclass
-class LossValue:
-    """Relaxed loss split into its two terms; total = pairwise + eta*quant."""
-
-    total: float
-    pairwise_term: float
-    quantization_term: float
-
-
-def relaxed_hash_loss(outputs, similarity, eta: float) -> LossValue:
-    """Relaxed pairwise loss on real outputs U (one batch, K columns).
-
-    pairwise_term     = sum over ordered pairs i != j of
-                        (u_i . u_j - K s_ij)^2
-    quantization_term = sum_i ||sign(u_i) - u_i||^2
-    total             = pairwise_term + eta * quantization_term
-    """
-    u, resid = _residual(outputs, similarity, eta)
+    quant_gap = u - sign_pm1(u)
     pairwise = float((resid ** 2).sum())
-    quant = float(((sign_pm1(u) - u) ** 2).sum())
-    return LossValue(pairwise + eta * quant, pairwise, quant)
+    quant = float((quant_gap ** 2).sum())
+    grad = 2.0 * ((resid + resid.T) @ u)
+    grad += 2.0 * eta * quant_gap
+    return LossValue(pairwise + eta * quant, pairwise, quant, grad)
 
 
 def relaxed_hash_loss_grad(outputs, similarity, eta: float) -> np.ndarray:
-    """Gradient of relaxed_hash_loss w.r.t. the outputs, same shape as U.
-
-    For symmetric S this is row-wise
-        dU_i = sum_{j != i} 4 (u_i . u_j - K s_ij) u_j
-               + 2 eta (u_i - sign(u_i)),
-    the sign() treated as a constant.  The implementation uses the exact
-    form (R + R^T) U so an asymmetric S still differentiates correctly.
-    """
-    u, resid = _residual(outputs, similarity, eta)
-    grad = 2.0 * ((resid + resid.T) @ u)
-    grad += 2.0 * eta * (u - sign_pm1(u))
-    return grad
+    """Gradient of relaxed_hash_loss w.r.t. the outputs (see there)."""
+    return relaxed_hash_loss(outputs, similarity, eta).grad

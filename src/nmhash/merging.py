@@ -221,15 +221,34 @@ def draw_choices(graph: MergeGraph, rng) -> list[int]:
             for members in graph.groups]
 
 
+def _checked_route(graph: MergeGraph, u, choices):
+    """Checked (outputs, chosen indices) for the frozen route's functions."""
+    v = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    if v.shape[-1] != graph.n_nodes:
+        raise ValueError(
+            f"got {v.shape[-1]} values for {graph.n_nodes} nodes"
+        )
+    chosen = np.asarray(choices, dtype=np.intp)
+    if chosen.shape != (graph.n_groups,):
+        raise ValueError("one choice per group required")
+    for gid, c in enumerate(chosen.tolist()):
+        if c not in graph.groups[gid]:
+            raise ValueError(f"choice {c} is not a member of group {gid}")
+    return v, chosen
+
+
+def _tie_residual(graph: MergeGraph, rows, chosen) -> np.ndarray:
+    """R_i = u_i - sign(u_c(g)) for every bit i, g its group, per row."""
+    return rows - sign_pm1(rows[..., chosen])[..., graph.group_of]
+
+
 def apply_choices(graph: MergeGraph, outputs, choices) -> np.ndarray:
     """Merged outputs: each group forwards the value of its chosen member.
 
     Accepts a single vector or a batch (rows).
     """
-    u = np.asarray(outputs, dtype=np.float64)
-    if len(choices) != graph.n_groups:
-        raise ValueError("one choice per group required")
-    return u[..., list(choices)]
+    v, chosen = _checked_route(graph, outputs, choices)
+    return v[..., chosen]
 
 
 def frozen_loss(graph: MergeGraph, u, choices) -> float:
@@ -238,16 +257,14 @@ def frozen_loss(graph: MergeGraph, u, choices) -> float:
     sum over groups g, members i != c(g) of (u_i - sign(u_c(g)))^2, where
     c(g) is the chosen member of g.
     """
-    v = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    v, chosen = _checked_route(graph, u, choices)
+    resid = _tie_residual(graph, np.atleast_2d(v), chosen)
+    free = [i for g, c in zip(graph.groups, chosen) for i in g if i != c]
     total = 0.0
     # one column sum per free member, added in group/member order: the
     # order fixes the rounding of the reported loss
-    for members, choice in zip(graph.groups, choices):
-        c = int(choice)
-        target = sign_pm1(v[:, c])
-        for i in members:
-            if i != c:
-                total += float(((v[:, i] - target) ** 2).sum())
+    for column in np.ascontiguousarray((resid[:, free] ** 2).T).sum(axis=1):
+        total += float(column)
     return total
 
 
@@ -259,25 +276,16 @@ def frozen_grads(graph: MergeGraph, u, choices, d_merged) -> np.ndarray:
     frozen_loss with the sign treated as constant.  Accepts a single
     vector or a batch (rows).
     """
-    v = np.asarray(u, dtype=np.float64)
-    single = v.ndim == 1
-    v2 = np.atleast_2d(v)
-    d2 = np.atleast_2d(np.asarray(d_merged, dtype=np.float64))
-    if d2.shape != (v2.shape[0], graph.n_groups):
+    v, chosen = _checked_route(graph, u, choices)
+    d = np.asarray(d_merged, dtype=np.float64)
+    if d.shape != v.shape[:-1] + (graph.n_groups,):
         raise ValueError(
-            f"merged gradient shape {d2.shape} does not match "
-            f"({v2.shape[0]}, {graph.n_groups})"
+            f"merged gradient shape {d.shape} does not match "
+            f"{v.shape[:-1] + (graph.n_groups,)}"
         )
-    chosen = np.asarray(choices, dtype=np.intp)
-    if chosen.shape != (graph.n_groups,):
-        raise ValueError("one choice per group required")
-    for gid, c in enumerate(chosen.tolist()):
-        if c not in graph.groups[gid]:
-            raise ValueError(f"choice {c} is not a member of group {gid}")
-    target = sign_pm1(v2[:, chosen])
-    out = 2.0 * (v2 - target[:, graph.group_of])
-    out[:, chosen] = d2
-    return out[0] if single else out
+    out = 2.0 * _tie_residual(graph, v, chosen)
+    out[..., chosen] = d
+    return out
 
 
 _EVAL_BLOCK_ROWS = 2048

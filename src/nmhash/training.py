@@ -35,7 +35,7 @@ import numpy as np
 from .data import (FeatureDataset, ROLE_QUERY, ROLE_TRAIN, ROLE_VALIDATION,
                    assign_splits, build_similarity, standardize)
 from .errors import CheckpointError, ConfigError
-from .losses import relaxed_hash_loss, relaxed_hash_loss_grad
+from .losses import relaxed_hash_loss
 from .merging import (MergeGraph, active_grad, active_loss,
                       apply_active_step, apply_choices, draw_choices,
                       eval_forward, frozen_grads, frozen_loss,
@@ -685,25 +685,21 @@ class TrainingRun:
         rate = cfg.dropout_rate if cfg.variant == VARIANT_DROPOUT else 0.0
         u, cache = forward(self.net, self.features[rows], dropout_rate=rate,
                            rng=self.rng if rate > 0 else None)
-        sim = self._batch_similarity(rows)
-        loss = relaxed_hash_loss(u, sim, cfg.eta).total
-        du = relaxed_hash_loss_grad(u, sim, cfg.eta)
-        sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
-        return {"hash_loss_per_epoch": loss}
+        loss = relaxed_hash_loss(u, self._batch_similarity(rows), cfg.eta)
+        sgd_step(self.net, backward(self.net, cache, loss.grad),
+                 cfg.backbone_sgd)
+        return {"hash_loss_per_epoch": loss.total}
 
     def _frozen_step(self, b_index, rows):
         cfg = self.cfg
         u, cache = forward(self.net, self.features[rows])
         choices = draw_choices(self.graph, self.rng)
-        merged = apply_choices(self.graph, u, choices)
-        sim = self._batch_similarity(rows)
-        terms = {"hash_loss_per_epoch":
-                 relaxed_hash_loss(merged, sim, cfg.eta).total,
-                 "frozen_loss_per_epoch": frozen_loss(self.graph, u, choices)}
-        d_merged = relaxed_hash_loss_grad(merged, sim, cfg.eta)
-        du = frozen_grads(self.graph, u, choices, d_merged)
+        loss = relaxed_hash_loss(apply_choices(self.graph, u, choices),
+                                 self._batch_similarity(rows), cfg.eta)
+        du = frozen_grads(self.graph, u, choices, loss.grad)
         sgd_step(self.net, backward(self.net, cache, du), cfg.backbone_sgd)
-        return terms
+        return {"hash_loss_per_epoch": loss.total,
+                "frozen_loss_per_epoch": frozen_loss(self.graph, u, choices)}
 
     def _fc_step(self, b_index, rows):
         cfg = self.cfg
@@ -711,7 +707,7 @@ class TrainingRun:
         head = HashNet(self.fc_w.shape, [self.fc_w], [self.fc_b])
         u1, cache = forward(self.net, self.features[rows])
         u2, head_cache = forward(head, u1)
-        d2 = relaxed_hash_loss_grad(u2, self._batch_similarity(rows), cfg.eta)
+        d2 = relaxed_hash_loss(u2, self._batch_similarity(rows), cfg.eta).grad
         # backward returns no input gradient; take it before the head moves
         d1 = d2 @ self.fc_w.T
         sgd_step(self.net, backward(self.net, cache, d1), cfg.backbone_sgd)

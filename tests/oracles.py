@@ -124,6 +124,23 @@ def discrete_hash_loss(codes, similarity, n_bits) -> float:
     return total
 
 
+def loop_frozen_loss(groups, u, choices) -> float:
+    """The frozen tie penalty with one column sum per free member.
+
+    The sums are added in group/member order, the order that fixes how
+    the library's reported loss rounds.
+    """
+    v = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    total = 0.0
+    for members, choice in zip(groups, choices):
+        c = int(choice)
+        target = np.where(v[:, c] >= 0.0, 1.0, -1.0)  # sign(0) = +1
+        for i in members:
+            if i != c:
+                total += float(((v[:, i] - target) ** 2).sum())
+    return total
+
+
 def naive_propagate(p, adjacency) -> np.ndarray:
     """Score propagation written as the literal per-node sum."""
     p = list(p)

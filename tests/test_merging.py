@@ -23,7 +23,8 @@ from nmhash.merging import (
 )
 from nmhash.network import SgdConfig
 from nmhash.training import ExperimentConfig, TrainingRun
-from oracles import brute_force_map, naive_propagate, top_m_components
+from oracles import (brute_force_map, loop_frozen_loss, naive_propagate,
+                     top_m_components)
 
 
 def _random_symmetric(n, rng, scale=0.1):
@@ -382,15 +383,55 @@ def test_frozen_grads_batch_matches_vector_form():
             batch[row], frozen_grads(g, u[row], [2, 1], d[row]))
 
 
-def test_frozen_grads_rejects_non_member_choice():
+@pytest.mark.parametrize("route", [apply_choices, frozen_loss, frozen_grads])
+def test_frozen_grads_rejects_non_member_choice(route):
+    # the three functions of the frozen route refuse the same inputs
     g = MergeGraph.from_partition(3, [[0, 2], [1]])
+
+    def call(u, choices):
+        if route is frozen_grads:
+            return route(g, u, choices, np.zeros(u.shape[:-1] + (2,)))
+        return route(g, u, choices)
+
     u = np.array([0.5, -0.5, 2.0])
-    d = np.zeros(2)
     for bad in ([1, 1], [0, 2], [-1, 1], [3, 1]):
         with pytest.raises(ValueError, match="not a member"):
-            frozen_grads(g, u, bad, d)
-    with pytest.raises(ValueError):
-        frozen_grads(g, u, [0], d)
+            call(u, bad)
+    with pytest.raises(ValueError, match="one choice per group"):
+        call(u, [0])
+    for wrong in (np.zeros((2, 4)), np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(ValueError,
+                           match=f"got {wrong.shape[-1]} values for 3 nodes"):
+            call(wrong, [0, 1])
+    if route is frozen_grads:
+        with pytest.raises(ValueError, match="merged gradient shape"):
+            frozen_grads(g, u, [0, 1], np.zeros((1, 2)))
+
+
+def _random_partition(n, rng) -> MergeGraph:
+    """A partition of range(n) into random, possibly interleaved, groups."""
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    return MergeGraph(n, [np.flatnonzero(labels == k).tolist()
+                          for k in np.unique(labels)])
+
+
+def test_frozen_loss_equals_the_loop_form_exactly():
+    # the vectorized penalty must round exactly as the per-member loop
+    rng = np.random.default_rng(29)
+    for rows in (1, 7, 128, 300):
+        for _ in range(60):
+            n = int(rng.integers(2, 25))
+            g = _random_partition(n, rng)
+            # magnitudes over six decades make the rounding order-sensitive
+            u = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, n)
+            choices = draw_choices(g, rng)
+            assert frozen_loss(g, u, choices) == \
+                loop_frozen_loss(g.groups, u, choices)
+            assert frozen_loss(g, u[0], choices) == \
+                loop_frozen_loss(g.groups, u[0], choices)
+    singletons = MergeGraph(5, [[i] for i in range(5)])
+    assert frozen_loss(singletons, rng.normal(size=(7, 5)),
+                       list(range(5))) == 0.0
 
 
 def test_frozen_loss_grad_matches_finite_differences():
