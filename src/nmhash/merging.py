@@ -258,7 +258,7 @@ def frozen_loss(graph: MergeGraph, u, choices) -> float:
     c(g) is the chosen member of g.
     """
     v, chosen = _checked_route(graph, u, choices)
-    resid = _tie_residual(graph, np.atleast_2d(v), chosen)
+    resid = _tie_residual(graph, v, chosen).reshape(-1, graph.n_nodes)
     free = [i for g, c in zip(graph.groups, chosen) for i in g if i != c]
     total = 0.0
     # one column sum per free member, added in group/member order: the
