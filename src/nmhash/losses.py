@@ -59,7 +59,7 @@ def relaxed_hash_loss(outputs, similarity, eta: float) -> LossValue:
             f"similarity matrix shape {s.shape} does not match codes "
             f"({u.shape[0]}, {u.shape[0]})"
         )
-    if not np.isin(s, (-1.0, 1.0)).all():
+    if not (np.abs(s) == 1.0).all():
         raise ValueError("similarity entries must be -1 or +1")
     resid = u @ u.T - u.shape[1] * s
     np.fill_diagonal(resid, 0.0)

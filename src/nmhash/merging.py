@@ -95,8 +95,10 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
     packed = _packed(_keys(q, g), k, rel)
     step = 2 * g.shape[0]
     packed -= step
-    q_bits = q.T.astype(packed.dtype)
-    g_steps = (step * g.T).astype(packed.dtype)
+    # C order: astype keeps the transposed layout by default, and a bit's
+    # shift below would then read its row with a K-element stride
+    q_bits = q.T.astype(packed.dtype, order="C")
+    g_steps = (step * g.T).astype(packed.dtype, order="C")
     ranked = np.empty_like(packed)
     scores = np.empty(k)
     for bit in range(k):

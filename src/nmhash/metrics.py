@@ -12,8 +12,8 @@ G items, and these distinct values ascend by (key, gallery index).  Each
 part of this comparison rule is written once, and every entry point here
 and merging.score_neurons use it: _pairing (code alphabet, one code
 length, one label set per row), _keys, _packed, _ranked_relevance (sorts
-packed values) and _ap_per_query; precision_at_hamming_radius and
-pr_curve count keys.  _keys and relevance_matrix take their products
+packed values), _hit_counts and _ap_per_query; precision_at_hamming_radius
+and pr_curve count keys.  _keys and relevance_matrix take their products
 through _products, which runs a small one in blocks for one BLAS thread.
 
 Labels are multi-label: each item carries a non-empty set of integer label
@@ -136,14 +136,22 @@ def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
     return rel
 
 
+def _hit_counts(flags):
+    """Running count of hits along each row of ranked 0/1 flags: int16
+    while the row length G <= 32767, else int32; G alone decides."""
+    return np.cumsum(flags, axis=1,
+                     dtype=np.int16 if flags.shape[1] <= 32767 else np.int32)
+
+
 def _ap_per_query(rel_ranked: np.ndarray) -> np.ndarray:
     """AP of each row of ranked 0/1 flags: the mean precision@k over the
     relevant ranks k, and 0 for a row with no hit."""
-    # counts are exact in float64, so the last one is the row's hit count
-    prec = np.cumsum(rel_ranked, axis=1, dtype=np.float64)
-    hits = prec[:, -1].copy()
-    prec /= np.arange(1, prec.shape[1] + 1)
-    prec *= rel_ranked
+    counts = _hit_counts(rel_ranked)
+    hits = counts[:, -1].astype(np.float64)
+    counts *= rel_ranked
+    # each entry is the float64 c / k of a hit and +0.0 elsewhere, and the
+    # row sum keeps its length and order, so every AP rounds as before
+    prec = counts / np.arange(1, counts.shape[1] + 1, dtype=np.float64)
     return prec.sum(axis=1) / np.maximum(hits, 1.0)
 
 
@@ -276,5 +284,5 @@ def precision_at_top_n(query_codes, query_labels, gallery_codes,
     k = q.shape[1]
     _, rel_ranked = _ranked_relevance(_keys(q, g), k, rel,
                                       max(map(int, n_values), default=1))
-    cum = np.cumsum(rel_ranked.astype(np.float64), axis=1)
+    cum = _hit_counts(rel_ranked)
     return [float((cum[:, int(n) - 1] / float(n)).mean()) for n in n_values]

@@ -21,6 +21,19 @@ def ap_from_flags(flags) -> float:
     return total / hits if hits else 0.0
 
 
+def float64_ap_per_query(rel_ranked) -> np.ndarray:
+    """Per-row AP with the hit counts kept in float64 as they are summed.
+
+    The library's former AP kernel, kept to pin that its narrow integer
+    counts give the same float64 values bit for bit.
+    """
+    prec = np.cumsum(rel_ranked, axis=1, dtype=np.float64)
+    hits = prec[:, -1].copy()
+    prec /= np.arange(1, prec.shape[1] + 1)
+    prec *= rel_ranked
+    return prec.sum(axis=1) / np.maximum(hits, 1.0)
+
+
 def code_distance(a, b) -> float:
     """Hamming distance of two {-1, 0, +1} codes, one bit at a time.
 

@@ -67,6 +67,16 @@ def test_relaxed_loss_shape_checks():
         relaxed_hash_loss([[1, 1]], [[0]], eta=0.0)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                   0.5, 2.0])
+def test_relaxed_rejects_similarity_entries_other_than_pm1(entry):
+    s = np.ones((2, 2))
+    s[0, 1] = entry
+    with pytest.raises(ValueError,
+                       match="similarity entries must be -1 or \\+1"):
+        relaxed_hash_loss([[0.5, -0.2], [0.1, 0.3]], s, eta=1.0)
+
+
 def test_relaxed_rejects_bad_eta_and_nonfinite():
     for fn in (relaxed_hash_loss, relaxed_hash_loss_grad):
         for eta in (-1.0, np.nan, np.inf):

@@ -12,6 +12,7 @@ from nmhash.metrics import (
     _MAX_BLOCKS,
     _ONE_THREAD,
     _ap_per_query,
+    _hit_counts,
     _keys,
     _packed,
     _products,
@@ -28,7 +29,7 @@ from nmhash.metrics import (
 )
 from oracles import (ap_from_flags, brute_force_map, brute_force_pr_curve,
                      brute_force_radius_precision, brute_force_top_n,
-                     code_distance)
+                     code_distance, float64_ap_per_query)
 
 pm1_rows = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=6)
 
@@ -180,6 +181,34 @@ def test_average_precision_matches_loop_oracle(flags):
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20))
 def test_average_precision_in_unit_interval(flags):
     assert 0.0 <= _ap(flags) <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(200, 128), (200, 1600), (32, 20352)])
+def test_narrow_hit_counts_give_the_float64_ap_exactly(shape):
+    rng = np.random.default_rng(shape[1])
+    # rows from nearly empty to nearly full, plus one with no hit at all
+    density = np.linspace(0.01, 0.99, shape[0])[:, None]
+    flags = (rng.random(shape) < density).astype(np.int32)
+    flags[shape[0] // 2] = 0
+    ap = _ap_per_query(flags)
+    assert _hit_counts(flags).dtype == np.int16
+    assert ap.dtype == np.float64
+    assert np.array_equal(ap, float64_ap_per_query(flags))
+
+
+@pytest.mark.parametrize("g, count_type", [(32767, np.int16),
+                                           (32768, np.int32)])
+def test_hit_counts_reach_the_bound_of_their_type(g, count_type):
+    # all-hit rows count up to G, the largest value the type must hold
+    rng = np.random.default_rng(g)
+    flags = np.stack([np.ones(g, np.int32), np.zeros(g, np.int32),
+                      (rng.random(g) < 0.5).astype(np.int32)])
+    counts = _hit_counts(flags)
+    assert counts.dtype == count_type
+    assert counts[0, -1] == g
+    ap = _ap_per_query(flags)
+    assert np.array_equal(ap, float64_ap_per_query(flags))
+    assert ap[0] == 1.0 and ap[1] == 0.0
 
 
 # --- retrieval and MAP -----------------------------------------------------
