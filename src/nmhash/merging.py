@@ -166,51 +166,57 @@ def apply_active_step(adjacency, adjacency_grad,
     return a - nm_learning_rate * da
 
 
-def _ranked_pairs(adjacency):
-    n = adjacency.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # highest value first; equal values fall back to lexicographic (i, j)
-    pairs.sort(key=lambda ij: (-adjacency[ij[0], ij[1]], ij[0], ij[1]))
-    return pairs
-
-
-def groups_after_truncation(adjacency, m: int) -> list[list[int]]:
-    """Connected components after keeping only the m largest edges.
+def groups_after_truncation(adjacency, m: int, min_groups: int = 1
+                            ) -> tuple[list[list[int]], int]:
+    """(connected components of the m largest edges, edges kept).
 
     Edges are ranked by adjacency value, ties by lexicographically smallest
-    (i, j).  Pure function of (A, m); the only place edges are ranked.
+    (i, j).  The walk stops before the first edge that would join two
+    components when only min_groups remain; an edge inside one component
+    is kept and counted.  Pure function of (A, m, min_groups); the only
+    place edges are ranked.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     n = a.shape[0]
     max_edges = n * (n - 1) // 2
     if not 0 <= m <= max_edges:
         raise ValueError(f"m must be in [0, {max_edges}], got {m}")
+    rows, cols = np.triu_indices(n, 1)
+    # highest value first; equal values stay in lexicographic (i, j) order
+    ranked = np.argsort(-a[rows, cols], kind="stable")[:m]
     # each node -> the smallest node of its component
     first = list(range(n))
-    for i, j in _ranked_pairs(a)[:m]:
+    kept = 0
+    for i, j in zip(rows[ranked].tolist(), cols[ranked].tolist()):
         joined = (first[i], first[j])
+        if joined[0] != joined[1] and len(set(first)) <= min_groups:
+            break
         first = [min(joined) if f in joined else f for f in first]
+        kept += 1
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(first[i], []).append(i)
-    return _sorted_groups(groups.values())
+    return _sorted_groups(groups.values()), kept
 
 
-def truncate(graph: MergeGraph, adjacency, m: int) -> MergeGraph:
+def truncate(graph: MergeGraph, adjacency, m: int,
+             min_groups: int = 1) -> tuple[MergeGraph, int]:
     """Merge the groups of `graph` along the top-m edges of a round adjacency.
 
-    The adjacency has one node per current group.  Each component of its
-    top-m edges becomes one group of the returned partition, holding every
-    bit of the groups it joins.
+    The adjacency has one node per current group.  Each component of the
+    kept edges becomes one group of the returned partition, holding every
+    bit of the groups it joins.  Also returns the number of edges kept,
+    below m when m would leave fewer than min_groups groups.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.shape != (graph.n_groups, graph.n_groups):
         raise ValueError(
             f"adjacency shape {a.shape} does not match {graph.n_groups} groups"
         )
+    components, kept = groups_after_truncation(a, m, min_groups)
     return MergeGraph.from_partition(graph.n_nodes, [
         [bit for node in component for bit in graph.groups[node]]
-        for component in groups_after_truncation(a, m)])
+        for component in components]), kept
 
 
 def draw_choices(graph: MergeGraph, rng) -> list[int]:

@@ -630,18 +630,11 @@ class TrainingRun:
             self._truncate_round()
 
     def _truncate_round(self):
-        """Merge via the round adjacency, then train the merged code frozen.
-
-        m shrinks while the merge would overshoot b_out; an edge removes at
-        most one group and a round starts above b_out, so m = 1 never does.
-        """
+        """Merge via the round adjacency, then train the merged code frozen."""
         k = self.graph.n_groups
-        m_used = min(self.cfg.m, k * (k - 1) // 2)
-        merged = truncate(self.graph, self.round_adjacency, m_used)
-        while merged.n_groups < self.cfg.b_out:
-            m_used -= 1
-            merged = truncate(self.graph, self.round_adjacency, m_used)
-        self.graph = merged
+        self.graph, m_used = truncate(self.graph, self.round_adjacency,
+                                      min(self.cfg.m, k * (k - 1) // 2),
+                                      self.cfg.b_out)
         self.current_round["m_used"] = m_used
         self.current_round["bits_after"] = self.graph.n_groups
         self.round_adjacency = None

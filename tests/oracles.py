@@ -219,3 +219,17 @@ def top_m_components(adjacency, m: int) -> list[list[int]]:
                     queue.append(nb)
         groups.append(sorted(group))
     return groups
+
+
+def retried_truncation(adjacency, m: int, b_out: int):
+    """(groups, edges kept): the components of the m strongest edges,
+    retried with m - 1, m - 2, ... until at least b_out groups remain.
+
+    The rule training once applied by calling truncation in a loop; the
+    reference for the library's one-pass b_out floor.
+    """
+    while True:
+        groups = top_m_components(adjacency, m)
+        if len(groups) >= b_out:
+            return groups, m
+        m -= 1

@@ -257,11 +257,11 @@ def test_criterion_3_merge_layer_invariants():
         a = np.triu(rng.uniform(0, 1, (5, 5)), 1)
         a = a + a.T
         expected = top_m_components(a, m)
-        trunc_ok &= groups_after_truncation(a, m) == expected
-        trunc_ok &= truncate(singletons, a, m).groups == expected
+        trunc_ok &= groups_after_truncation(a, m) == (expected, m)
+        trunc_ok &= truncate(singletons, a, m)[0].groups == expected
     tie = np.ones((4, 4)) - np.eye(4)
-    trunc_ok &= groups_after_truncation(tie, 1) == [[0, 1], [2], [3]]
-    trunc_ok &= groups_after_truncation(tie, 2) == [[0, 1, 2], [3]]
+    trunc_ok &= groups_after_truncation(tie, 1) == ([[0, 1], [2], [3]], 1)
+    trunc_ok &= groups_after_truncation(tie, 2) == ([[0, 1, 2], [3]], 2)
 
     # majority vote: quoted pair cases, then every pattern up to size 4
     pair = MergeGraph.from_partition(2, [[0, 1]])

@@ -24,7 +24,7 @@ from nmhash.merging import (
 from nmhash.network import SgdConfig
 from nmhash.training import ExperimentConfig, TrainingRun
 from oracles import (brute_force_map, loop_frozen_loss, naive_propagate,
-                     top_m_components)
+                     retried_truncation, top_m_components)
 
 
 def _random_symmetric(n, rng, scale=0.1):
@@ -233,9 +233,9 @@ def test_truncation_three_node_hand_case():
     a = np.array([[0.0, 0.5, 0.1],
                   [0.5, 0.0, 0.3],
                   [0.1, 0.3, 0.0]])
-    assert groups_after_truncation(a, 1) == [[0, 1], [2]]
-    assert groups_after_truncation(a, 2) == [[0, 1, 2]]
-    assert groups_after_truncation(a, 0) == [[0], [1], [2]]
+    assert groups_after_truncation(a, 1) == ([[0, 1], [2]], 1)
+    assert groups_after_truncation(a, 2) == ([[0, 1, 2]], 2)
+    assert groups_after_truncation(a, 0) == ([[0], [1], [2]], 0)
 
 
 def test_truncate_snaps_exactly_m_edges():
@@ -246,15 +246,16 @@ def test_truncate_snaps_exactly_m_edges():
             a = _random_symmetric(n, rng, scale=1.0)
             a[0, n - 1] = a[n - 1, 0] = a[0, 1]  # one tied pair of values
             expected = top_m_components(a, m)
-            assert groups_after_truncation(a, m) == expected
-            assert truncate(_singletons(n), a, m).groups == expected
+            assert groups_after_truncation(a, m) == (expected, m)
+            merged, kept = truncate(_singletons(n), a, m)
+            assert (merged.groups, kept) == (expected, m)
 
 
 def test_truncate_tie_break_is_lexicographic():
     # all edges equal: m=2 must pick (0,1) and (0,2), never (1,2)
     a = np.ones((4, 4)) - np.eye(4)
-    assert groups_after_truncation(a, 1) == [[0, 1], [2], [3]]
-    assert groups_after_truncation(a, 2) == [[0, 1, 2], [3]]
+    assert groups_after_truncation(a, 1) == ([[0, 1], [2], [3]], 1)
+    assert groups_after_truncation(a, 2) == ([[0, 1, 2], [3]], 2)
 
 
 def test_truncate_rejects_bad_m_and_shape():
@@ -272,7 +273,8 @@ def test_truncation_matches_pure_function():
     rng = np.random.default_rng(31)
     a = _random_symmetric(6, rng, scale=1.0)
     expected = groups_after_truncation(a, 4)
-    assert truncate(_singletons(6), a, 4).groups == expected
+    merged, kept = truncate(_singletons(6), a, 4)
+    assert (merged.groups, kept) == expected
 
 
 def test_truncate_composes_round_groups_onto_partition():
@@ -280,7 +282,7 @@ def test_truncate_composes_round_groups_onto_partition():
     g = MergeGraph.from_partition(6, [[0, 3], [1], [2, 5], [4]])
     a = np.zeros((4, 4))
     a[0, 2] = a[2, 0] = 1.0
-    merged = truncate(g, a, 1)
+    merged, _ = truncate(g, a, 1)
     assert merged.groups == [[0, 2, 3, 5], [1], [4]]
     assert merged.n_nodes == 6
     assert g.groups == [[0, 3], [1], [2, 5], [4]]  # input untouched
@@ -298,7 +300,45 @@ def test_truncate_composes_round_groups_onto_partition():
         expected = sorted((sorted(bit for node in comp for bit in g.groups[node])
                            for comp in top_m_components(a, m)),
                           key=lambda grp: grp[0])
-        assert truncate(g, a, m).groups == expected
+        assert truncate(g, a, m)[0].groups == expected
+
+
+def test_floor_keeps_a_redundant_edge_before_the_crossing_edge():
+    # the triangle's third edge joins nothing but is kept and counted; the
+    # next edge, (3, 4), would leave 3 groups
+    a = np.zeros((6, 6))
+    for (i, j), value in {(0, 1): 5.0, (0, 2): 4.0, (1, 2): 3.0,
+                          (3, 4): 2.0, (4, 5): 1.0}.items():
+        a[i, j] = a[j, i] = value
+    expected = ([[0, 1, 2], [3], [4], [5]], 3)
+    assert groups_after_truncation(a, 4, min_groups=4) == expected
+    assert retried_truncation(a, 4, 4) == expected
+    merged, kept = truncate(_singletons(6), a, 4, min_groups=4)
+    assert (merged.groups, kept) == expected
+
+
+def test_one_pass_floor_equals_retried_truncation():
+    # few distinct values, so many ties, with +-0.0 among them
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    rng = np.random.default_rng(20)
+    for _ in range(1000):
+        k = int(rng.integers(2, 10))
+        n = int(rng.integers(k, 13))
+        perm = rng.permutation(n).tolist()
+        cuts = sorted(rng.choice(np.arange(1, n), k - 1, replace=False))
+        g = MergeGraph.from_partition(
+            n, [perm[i:j] for i, j in zip([0, *cuts], [*cuts, n])])
+        a = np.triu(rng.choice(values, size=(k, k)), 1)
+        a = a + a.T
+        m = int(rng.integers(0, k * (k - 1) // 2 + 1))
+        b_out = int(rng.integers(1, k + 1))
+        comps, m_used = retried_truncation(a, m, b_out)
+        assert groups_after_truncation(a, m, b_out) == (comps, m_used)
+        merged, kept = truncate(g, a, m, b_out)
+        assert kept == m_used
+        assert merged.groups == sorted(
+            (sorted(bit for node in comp for bit in g.groups[node])
+             for comp in comps), key=lambda grp: grp[0])
 
 
 # --- frozen phase -------------------------------------------------------------
