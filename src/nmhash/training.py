@@ -493,6 +493,17 @@ class TrainingRun:
                 and run.current_round is not None:
             raise CheckpointError(f"checkpoint's progress.current_round must "
                                   f"be null in stage {run.stage!r}")
+        # checkpoints fall between epochs, after a finished stage is left
+        epochs = 1 if run.done else run._stages()[run.stage][0]
+        if not 0 <= run.epoch_in_stage < epochs:
+            raise CheckpointError(
+                f"checkpoint's counters.epoch_in_stage must be in "
+                f"range({epochs}) in stage {run.stage!r}, "
+                f"got {run.epoch_in_stage}")
+        if run.global_epoch < run.epoch_in_stage:
+            raise CheckpointError(
+                "checkpoint's counters.global_epoch must be >= "
+                f"counters.epoch_in_stage, got {run.global_epoch}")
         if run._dataset_sha256() != ckpt.dataset_sha256:
             raise CheckpointError(
                 "checkpoint was written for a different dataset: features, "
@@ -503,7 +514,14 @@ class TrainingRun:
         fits = [("net.layer_dims[0]", run.net.input_dim,
                  run.features.shape[1], "to match the data's feature count"),
                 ("graph.n_nodes", run.graph.n_nodes, width,
-                 "to match the net's output width")]
+                 "to match the net's output width"),
+                ("counters.round_index", run.round_index,
+                 len(run.rounds_done) + (run.current_round is not None),
+                 "to count the rounds done and open")]
+        if run.current_round is not None:
+            fits.append(("progress.current_round.round",
+                         run.current_round.get("round"), run.round_index,
+                         "to match counters.round_index"))
         needs = {_STAGE_ACTIVE: {"round_adjacency": (k, k)},
                  _STAGE_SCORE: {"score_sum": (width,)},
                  _STAGE_FC: {"fc_w": (width, b_out), "fc_b": (b_out,)}}

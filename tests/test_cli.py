@@ -336,12 +336,20 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
      "progress.bit_trace must be list[tuple[int, float]], got list"),
     (lambda b: b["progress"]["base_loss_per_epoch"].__setitem__(0, None),
      "progress.base_loss_per_epoch must be list[float], got list"),
+    (lambda b: b["counters"].update(epoch_in_stage=-3),
+     "counters.epoch_in_stage must be in range(1) in stage 'done', got -3"),
+    (lambda b: b["counters"].update(global_epoch=-50),
+     "counters.global_epoch must be >= counters.epoch_in_stage, got -50"),
+    (lambda b: b["counters"].update(round_index=-4),
+     "counters.round_index must be 1 to count the rounds done and open, "
+     "got -4"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage",
         "str-global-epoch", "empty-adjacency-object", "str-net", "str-graph",
         "str-rng-state", "negative-rng-state-entry", "null-graph-groups",
         "str-graph-n-nodes", "null-net-layer-dims", "null-net-weights",
         "null-net-biases", "transposed-weight", "null-bit-trace-item",
-        "null-base-loss-item"])
+        "null-base-loss-item", "negative-epoch-in-stage",
+        "negative-global-epoch", "negative-round-index"])
 def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):

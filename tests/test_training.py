@@ -429,7 +429,27 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
         ("progress", "bit_trace", {**progress, "bit_trace": [[-1, 0.5]]}),
         ("progress", "bit_trace", {**progress, "bit_trace": [[7, 0.5]]}),
         ("progress", "rounds_done", {**progress, "rounds_done": [-1]})]
+    # counters that do not fit the stage: this is active epoch 1 of n0 2,
+    # global epoch 3, in the first round, which is open
+    counters, open_round = ckpt.counters, progress["current_round"]
+    assert (counters["epoch_in_stage"], counters["global_epoch"],
+            counters["round_index"], open_round["round"]) == (1, 3, 1, 1)
+    cases += [("counters", key, {**counters, key: value})
+              for key, value in [("epoch_in_stage", -1),
+                                 ("epoch_in_stage", 2),
+                                 ("global_epoch", 0), ("round_index", 0),
+                                 ("round_index", 2)]]
+    cases += [("progress", "current_round",
+               {**progress, "current_round": {**open_round, "round": 2}}),
+              ("progress", "current_round",
+               {**progress, "current_round": {
+                   k: v for k, v in open_round.items() if k != "round"}})]
     checkpoints = [ckpt] * len(cases)
+    # a finished run's stage has no epochs left
+    done = TrainingRun(small_config(), dataset).run().to_checkpoint()
+    checkpoints.append(done)
+    cases.append(("counters", "epoch_in_stage",
+                  {**done.counters, "epoch_in_stage": 1}))
     # the entries the score and fc stages read, and a round outside a round
     for variant, key, value in [("select", "score_sum", None),
                                 ("select", "current_round", {}),
