@@ -119,8 +119,6 @@ def load_features(path) -> FeatureDataset:
                     f"line {lineno}: label ids must be integers, got "
                     f"{fields[0]!r}"
                 ) from None
-            if not ids:
-                raise DataFormatError(f"line {lineno}: empty label field")
             if any(v < 0 for v in ids):
                 raise DataFormatError(
                     f"line {lineno}: label ids must be nonnegative"

@@ -125,6 +125,7 @@ def test_load_tolerates_trailing_blank_line(tmp_path):
     ("justonefield\n", "line 1"),
     ("-3,1.0\n", "line 1"),
     (";,1.0\n", "line 1"),
+    (",1.0\n", "line 1: label ids must be integers, got ''"),
     ("0,1.0,nan\n", "line 1: features must be finite"),
     ("0,1.0,2.0\n1,inf,1.0\n", "line 2: features must be finite"),
     ("0,1.0\n\n1,-inf\n", "line 3: features must be finite"),
