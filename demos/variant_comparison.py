@@ -32,10 +32,8 @@ def make_config(variant: str, seed: int) -> ExperimentConfig:
                             seed=seed, backbone_sgd=DESK_SGD)
     if variant != "baseline":
         return dataclasses.replace(full, variant=variant)
-    epochs = full.base_epochs + full.planned_merge_rounds() * (
-        full.n0_epochs + full.n1_epochs)
     return dataclasses.replace(full, variant=variant, b_in=full.b_out,
-                               base_epochs=epochs)
+                               base_epochs=full.planned_epochs())
 
 
 rows = []

@@ -242,10 +242,8 @@ def _matched_epoch_config(base: ExperimentConfig, variant: str,
     d = base.to_dict()
     d["variant"] = variant
     d["seed"] = seed
-    rounds = base.planned_merge_rounds()
     if variant in (VARIANT_BASELINE, VARIANT_DROPOUT):
-        d["base_epochs"] = base.base_epochs + rounds * (base.n0_epochs +
-                                                        base.n1_epochs)
+        d["base_epochs"] = base.planned_epochs()
     if variant == VARIANT_BASELINE:
         d["b_in"] = base.b_out
     return ExperimentConfig.from_dict(d)

@@ -202,6 +202,13 @@ class ExperimentConfig:
             return 0
         return math.ceil((self.b_in - self.b_out) / self.m)
 
+    def planned_epochs(self) -> int:
+        """The merging schedule's total epoch count: base, then each planned
+        round's active and frozen epochs.  Budget-matched single-width
+        variants train this many base epochs."""
+        return self.base_epochs + self.planned_merge_rounds() * (
+            self.n0_epochs + self.n1_epochs)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["hidden_dims"] = list(self.hidden_dims)

@@ -573,6 +573,17 @@ def test_ablate_table(data_file, tmp_path, capsys):
         assert 0.0 <= row["median_map"] <= 1.0
 
 
+def test_ablate_runs_every_variant_without_variants_flag(data_file, tmp_path,
+                                                        capsys):
+    out = tmp_path / "table.json"
+    assert main(["ablate", "--data", str(data_file), "--seeds", "1",
+                 *TRAIN_FLAGS, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    variants = [row["variant"] for row in json.loads(out.read_text())["rows"]]
+    assert variants == list(VARIANTS)  # full leads VARIANTS already
+    assert [line.split()[0] for line in printed] == variants
+
+
 def test_ablate_rejects_bad_seed_and_variant(data_file, capsys):
     assert main(["ablate", "--data", str(data_file), "--seeds", "x"]) == 1
     _err_line(capsys)

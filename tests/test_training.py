@@ -85,6 +85,11 @@ def test_planned_merge_rounds_arithmetic():
     assert ExperimentConfig(b_in=24, b_out=16, m=3).planned_merge_rounds() == 3
     assert ExperimentConfig(
         b_in=16, b_out=16, variant="baseline").planned_merge_rounds() == 0
+    # the README schedule: 30 base + 2 rounds x (5 active + 40 frozen)
+    assert ExperimentConfig(b_in=24, b_out=16, m=4,
+                            base_epochs=30).planned_epochs() == 120
+    assert ExperimentConfig(b_in=16, b_out=16, base_epochs=30,
+                            variant="baseline").planned_epochs() == 30
 
 
 def test_split_size_defaults_and_overrides():
