@@ -129,6 +129,22 @@ def test_train_refuses_non_finite_hyperparameters(tmp_path, capsys, flag,
     assert _err_line(capsys).startswith(f"error: {key} must be finite")
 
 
+def test_train_parses_hidden_dims(tmp_path, capsys):
+    # an empty list is no hidden layer, which dropout refuses; both
+    # refusals come while the config is built, before the data is read
+    absent = str(tmp_path / "absent.csv")
+    args = build_parser().parse_args(["train", "--data", absent,
+                                      "--hidden-dims", ""])
+    assert build_experiment_config(args).hidden_dims == ()
+    assert main(["train", "--data", absent, "--hidden-dims", "",
+                 "--variant", "dropout"]) == 1
+    assert "dropout variant needs at least one hidden layer" in \
+        _err_line(capsys)
+    assert main(["train", "--data", absent, "--hidden-dims", "32,x"]) == 1
+    assert "hidden_dims must be comma-separated ints, got '32,x'" in \
+        _err_line(capsys)
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
     _err_line(capsys)

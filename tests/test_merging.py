@@ -117,6 +117,13 @@ def test_score_needs_two_bits():
 
 # --- score diffusion ---------------------------------------------------------
 
+def test_propagate_and_active_grad_refuse_mismatched_lengths():
+    with pytest.raises(ValueError, match="does not match 3 scores"):
+        propagate_scores(np.zeros(3), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="differ in length"):
+        active_grad(np.zeros(3), np.zeros(2))
+
+
 def test_propagate_two_node_hand_value():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(propagate_scores([0.6, 0.4], a), [0.5, 0.5])

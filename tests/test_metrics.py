@@ -134,6 +134,9 @@ def test_label_similarity_rejects_empty():
         build_similarity([set()], [{1}])
     with pytest.raises(ValueError, match="empty label set"):
         build_similarity([{1}], [{1}, set()])
+    for empty in (([], [{1}]), ([{1}], [])):
+        with pytest.raises(ValueError, match="empty label sequence"):
+            relevance_matrix(*empty)
 
 
 def test_relevance_matrix_refuses_label_ids_beyond_int64():

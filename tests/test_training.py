@@ -67,6 +67,7 @@ def test_config_defaults_match_reference_constants():
     dict(score_every=0),
     dict(n_validation=-1),
     dict(hidden_dims=(0,)),
+    dict(variant="dropout", hidden_dims=()),
     dict(nm_learning_rate=float("nan")),
     dict(nm_learning_rate=float("inf")),
     dict(eta=float("nan")),
@@ -332,6 +333,31 @@ def test_validation_split_required_for_scoring_variants(dataset):
         TrainingRun(small_config(), split)
     # baseline never scores bits, so it accepts the same dataset
     TrainingRun(small_config(variant="baseline", b_in=6, b_out=6), split)
+
+
+def test_query_split_required_for_every_variant(dataset):
+    for variant in VARIANTS:
+        cfg = small_config(variant=variant, n_query=0,
+                           **({"b_in": 6} if variant == "baseline" else {}))
+        with pytest.raises(ConfigError, match="non-empty query split"):
+            TrainingRun(cfg, dataset)
+
+
+def test_full_scores_every_sth_batch(dataset, monkeypatch):
+    # 192 train items make batches 0-2 of 64 rows; score_every 2 scores
+    # batches 0 and 2 in each of the round's 2 active epochs
+    scored = []
+
+    def counted(*args):
+        scored.append(len(args[0]))
+        return score_neurons(*args)
+
+    monkeypatch.setattr(nmhash.training, "score_neurons", counted)
+    run = TrainingRun(small_config(score_every=2), dataset).run()
+    assert run.done and scored == [64] * 4
+    [done] = run.rounds_done
+    assert len(done["active_loss_per_epoch"]) == 2
+    assert done["bits_after"] == 6
 
 
 # --- checkpoints ----------------------------------------------------------------------
