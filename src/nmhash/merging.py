@@ -16,7 +16,9 @@ two phases:
   A is a plain array; the caller owns it.
 
 * Frozen: the top-m adjacency entries are kept and their connected
-  components become merge groups (truncate).  During training each group
+  components become merge groups (truncate).  A round keeps fewer than m
+  edges when m would leave fewer than b_out groups; truncate returns how
+  many it kept, the round's m_used.  During training each group
   forwards one randomly chosen member bit and pulls the other members
   toward the sign of the chosen one; at evaluation a group emits the
   majority-vote sign of its members (0 on ties).

@@ -203,9 +203,8 @@ class ExperimentConfig:
         return math.ceil((self.b_in - self.b_out) / self.m)
 
     def planned_epochs(self) -> int:
-        """The merging schedule's total epoch count: base, then each planned
-        round's active and frozen epochs.  Budget-matched single-width
-        variants train this many base epochs."""
+        """Total epochs of the merging schedule, which budget-matched
+        single-width variants train as base epochs."""
         return self.base_epochs + self.planned_merge_rounds() * (
             self.n0_epochs + self.n1_epochs)
 
