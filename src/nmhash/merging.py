@@ -170,13 +170,13 @@ def apply_active_step(adjacency, adjacency_grad,
 
 def groups_after_truncation(adjacency, m: int, min_groups: int = 1
                             ) -> tuple[list[list[int]], int]:
-    """(connected components of the m largest edges, edges kept).
+    """(connected components of the kept edges, number of edges kept).
 
-    Edges are ranked by adjacency value, ties by lexicographically smallest
-    (i, j).  The walk stops before the first edge that would join two
-    components when only min_groups remain; an edge inside one component
-    is kept and counted.  Pure function of (A, m, min_groups); the only
-    place edges are ranked.
+    The m largest edges are kept, ranked by adjacency value, ties by
+    lexicographically smallest (i, j), but the walk stops before the
+    first edge that would join two components when only min_groups
+    remain; an edge inside one component is kept and counted.  Pure
+    function of (A, m, min_groups); the only place edges are ranked.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     n = a.shape[0]

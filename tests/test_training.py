@@ -343,7 +343,7 @@ def test_query_split_required_for_every_variant(dataset):
             TrainingRun(cfg, dataset)
 
 
-def test_full_scores_every_sth_batch(dataset, monkeypatch):
+def test_full_active_phase_skips_unscored_batches(dataset, monkeypatch):
     # 192 train items make batches 0-2 of 64 rows; score_every 2 scores
     # batches 0 and 2 in each of the round's 2 active epochs
     scored = []
