@@ -15,10 +15,10 @@ two phases:
   grows with the gap between two bits' scores, not with their likeness.
   A is a plain array; the caller owns it.
 
-* Frozen: the top-m adjacency entries are kept and their connected
-  components become merge groups (truncate).  A round keeps fewer than m
-  edges when m would leave fewer than b_out groups; truncate returns how
-  many it kept, the round's m_used.  During training each group
+* Frozen: the round joins min(m, k - b_out) pairs of its k groups along
+  the strongest adjacency edges that join two groups, skipping an edge
+  inside one group, and the joined groups become merge groups (truncate).
+  That join count is the round's m_used.  During training each group
   forwards one randomly chosen member bit and pulls the other members
   toward the sign of the chosen one; at evaluation a group emits the
   majority-vote sign of its members (0 on ties).
@@ -168,57 +168,52 @@ def apply_active_step(adjacency, adjacency_grad,
     return a - nm_learning_rate * da
 
 
-def groups_after_truncation(adjacency, m: int, min_groups: int = 1
-                            ) -> tuple[list[list[int]], int]:
-    """(connected components of the kept edges, number of edges kept).
+def groups_after_truncation(adjacency, joins: int) -> list[list[int]]:
+    """Connected components after `joins` joins along the strongest edges.
 
-    The m largest edges are kept, ranked by adjacency value, ties by
-    lexicographically smallest (i, j), but the walk stops before the
-    first edge that would join two components when only min_groups
-    remain; an edge inside one component is kept and counted.  Pure
-    function of (A, m, min_groups); the only place edges are ranked.
+    Edges are ranked by adjacency value, ties by lexicographically
+    smallest (i, j).  An edge inside one component is skipped, and the
+    walk stops after `joins` edges have each joined two components, so
+    exactly `joins` groups go.  Pure function of (A, joins); the only
+    place edges are ranked.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     n = a.shape[0]
-    max_edges = n * (n - 1) // 2
-    if not 0 <= m <= max_edges:
-        raise ValueError(f"m must be in [0, {max_edges}], got {m}")
+    if not 0 <= joins <= n - 1:
+        raise ValueError(f"joins must be in [0, {n - 1}], got {joins}")
     rows, cols = np.triu_indices(n, 1)
     # highest value first; equal values stay in lexicographic (i, j) order
-    ranked = np.argsort(-a[rows, cols], kind="stable")[:m]
+    ranked = np.argsort(-a[rows, cols], kind="stable")
     # each node -> the smallest node of its component
     first = list(range(n))
-    kept = 0
     for i, j in zip(rows[ranked].tolist(), cols[ranked].tolist()):
-        joined = (first[i], first[j])
-        if joined[0] != joined[1] and len(set(first)) <= min_groups:
+        if joins == 0:
             break
-        first = [min(joined) if f in joined else f for f in first]
-        kept += 1
+        joined = (first[i], first[j])
+        if joined[0] != joined[1]:
+            first = [min(joined) if f in joined else f for f in first]
+            joins -= 1
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(first[i], []).append(i)
-    return _sorted_groups(groups.values()), kept
+    return _sorted_groups(groups.values())
 
 
-def truncate(graph: MergeGraph, adjacency, m: int,
-             min_groups: int = 1) -> tuple[MergeGraph, int]:
-    """Merge the groups of `graph` along the top-m edges of a round adjacency.
+def truncate(graph: MergeGraph, adjacency, joins: int) -> MergeGraph:
+    """Merge the groups of `graph` by `joins` joins along a round adjacency.
 
-    The adjacency has one node per current group.  Each component of the
-    kept edges becomes one group of the returned partition, holding every
-    bit of the groups it joins.  Also returns the number of edges kept,
-    below m when m would leave fewer than min_groups groups.
+    The adjacency has one node per current group.  Each component left by
+    groups_after_truncation becomes one group of the returned partition,
+    holding every bit of the groups it joins.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.shape != (graph.n_groups, graph.n_groups):
         raise ValueError(
             f"adjacency shape {a.shape} does not match {graph.n_groups} groups"
         )
-    components, kept = groups_after_truncation(a, m, min_groups)
     return MergeGraph.from_partition(graph.n_nodes, [
         [bit for node in component for bit in graph.groups[node]]
-        for component in components]), kept
+        for component in groups_after_truncation(a, joins)])
 
 
 def draw_choices(graph: MergeGraph, rng) -> list[int]:

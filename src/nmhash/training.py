@@ -655,18 +655,15 @@ class TrainingRun:
 
     def _truncate_round(self):
         """Merge via the round adjacency, then train the merged code frozen."""
-        k = self.graph.n_groups
-        self.graph, m_used = truncate(self.graph, self.round_adjacency,
-                                      min(self.cfg.m, k * (k - 1) // 2),
-                                      self.cfg.b_out)
-        self.current_round["m_used"] = m_used
+        # a round starts only while k > b_out, so joins is in [1, k - 1]
+        joins = min(self.cfg.m, self.graph.n_groups - self.cfg.b_out)
+        self.graph = truncate(self.graph, self.round_adjacency, joins)
+        self.current_round["m_used"] = joins
         self.current_round["bits_after"] = self.graph.n_groups
         self.round_adjacency = None
         self._enter(_STAGE_FROZEN)
 
     def _apply_selection(self):
-        if self.score_batches == 0:
-            raise ConfigError("bit selection ran zero scoring batches")
         scores = self.score_sum / self.score_batches
         # low leave-one-out MAP = removal hurts = important bit; keep those
         order = np.argsort(scores, kind="stable")

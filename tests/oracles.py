@@ -221,15 +221,17 @@ def top_m_components(adjacency, m: int) -> list[list[int]]:
     return groups
 
 
-def retried_truncation(adjacency, m: int, b_out: int):
-    """(groups, edges kept): the components of the m strongest edges,
-    retried with m - 1, m - 2, ... until at least b_out groups remain.
+def joined_components(adjacency, joins: int) -> list[list[int]]:
+    """The components of the fewest strongest edges that leave
+    n - joins groups: top_m_components for the smallest such m.
 
-    The rule training once applied by calling truncation in a loop; the
-    reference for the library's one-pass b_out floor.
+    The reference for the library's join-count truncation, found by
+    building edges one more at a time instead of skipping redundant ones.
     """
+    n = np.asarray(adjacency).shape[0]
+    m = 0
     while True:
         groups = top_m_components(adjacency, m)
-        if len(groups) >= b_out:
-            return groups, m
-        m -= 1
+        if len(groups) == n - joins:
+            return groups
+        m += 1

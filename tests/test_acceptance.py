@@ -40,8 +40,8 @@ from nmhash.metrics import mean_average_precision, retrieve
 from nmhash.network import SgdConfig, backward, forward, init_network
 from nmhash.training import ExperimentConfig, TrainingRun, load_checkpoint, \
     save_checkpoint
-from oracles import (brute_force_map, central_difference, relative_error,
-                     top_m_components)
+from oracles import (brute_force_map, central_difference, joined_components,
+                     relative_error)
 
 DESK = SgdConfig(learning_rate=1e-7, weight_decay=1e-5)
 
@@ -249,19 +249,20 @@ def test_criterion_3_merge_layer_invariants():
     p = rng.random(9)
     identity_ok = (propagate_scores(p, np.zeros((9, 9))) == p).all()
 
-    # truncation: the components of exactly m surviving edges (brute-force
-    # oracle), deterministic tie handling
+    # truncation: exactly `joins` joins along the strongest edges that join
+    # two groups (brute-force oracle), deterministic tie handling
     trunc_ok = True
     singletons = MergeGraph.from_partition(5, [[i] for i in range(5)])
-    for m in (0, 1, 3, 6, 10):
+    for joins in range(5):
         a = np.triu(rng.uniform(0, 1, (5, 5)), 1)
         a = a + a.T
-        expected = top_m_components(a, m)
-        trunc_ok &= groups_after_truncation(a, m) == (expected, m)
-        trunc_ok &= truncate(singletons, a, m)[0].groups == expected
+        expected = joined_components(a, joins)
+        trunc_ok &= len(expected) == 5 - joins
+        trunc_ok &= groups_after_truncation(a, joins) == expected
+        trunc_ok &= truncate(singletons, a, joins).groups == expected
     tie = np.ones((4, 4)) - np.eye(4)
-    trunc_ok &= groups_after_truncation(tie, 1) == ([[0, 1], [2], [3]], 1)
-    trunc_ok &= groups_after_truncation(tie, 2) == ([[0, 1, 2], [3]], 2)
+    trunc_ok &= groups_after_truncation(tie, 1) == [[0, 1], [2], [3]]
+    trunc_ok &= groups_after_truncation(tie, 2) == [[0, 1, 2], [3]]
 
     # majority vote: quoted pair cases, then every pattern up to size 4
     pair = MergeGraph.from_partition(2, [[0, 1]])

@@ -143,6 +143,11 @@ def test_train_parses_hidden_dims(tmp_path, capsys):
     assert main(["train", "--data", absent, "--hidden-dims", "32,x"]) == 1
     assert "hidden_dims must be comma-separated ints, got '32,x'" in \
         _err_line(capsys)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("hidden_dims = 32,x\n")
+    assert main(["train", "--data", absent, "--config", str(cfg)]) == 1
+    assert "hidden_dims must be comma-separated ints, got '32,x'" in \
+        _err_line(capsys)
 
 
 def test_train_missing_data_file(tmp_path, capsys):

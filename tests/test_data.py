@@ -38,6 +38,8 @@ def test_dataset_validation():
                           np.full(1, ROLE_TRAIN)).labels == [{2**63 - 1}]
     with pytest.raises(ValueError):
         FeatureDataset(np.zeros((1, 3)), [{0}], np.array(["gallery"]))
+    with pytest.raises(ValueError, match="one role per item"):
+        FeatureDataset(np.zeros((2, 3)), [{0}, {1}], np.full(3, ROLE_TRAIN))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             FeatureDataset([[0.0, bad]], [{0}], np.full(1, ROLE_TRAIN))

@@ -45,6 +45,10 @@ def test_relaxed_single_row_quantization_only():
     assert val.pairwise_term == 0.0
     assert val.quantization_term == pytest.approx(0.25)
     assert val.total == pytest.approx(0.25)
+    # a 1-D output vector is one row
+    vector = relaxed_hash_loss([0.5], [[1]], eta=1.0)
+    assert vector == val
+    np.testing.assert_array_equal(vector.grad, val.grad)
 
 
 def test_relaxed_total_combines_terms():

@@ -23,8 +23,8 @@ from nmhash.merging import (
 )
 from nmhash.network import SgdConfig
 from nmhash.training import ExperimentConfig, TrainingRun
-from oracles import (brute_force_map, loop_frozen_loss, naive_propagate,
-                     retried_truncation, top_m_components)
+from oracles import (brute_force_map, joined_components, loop_frozen_loss,
+                     naive_propagate)
 
 
 def _random_symmetric(n, rng, scale=0.1):
@@ -59,6 +59,7 @@ def test_from_partition_builds_binary_components():
     g = MergeGraph.from_partition(4, [[0, 2], [1], [3]])
     assert g.groups == [[0, 2], [1], [3]]
     assert g.n_groups == 3
+    assert repr(g) == "MergeGraph(n_nodes=4, groups=[[0, 2], [1], [3]])"
     np.testing.assert_array_equal(g.group_of, [0, 1, 0, 2])
     np.testing.assert_array_equal(g.membership, [[1, 0, 0],
                                                  [0, 1, 0],
@@ -236,39 +237,46 @@ def test_apply_active_step_rejects_bad_inputs():
 
 # --- truncation ---------------------------------------------------------------
 
+def _partition_groups(g, components):
+    """The bits of each component of a round's groups, sorted as MergeGraph."""
+    return sorted((sorted(bit for node in comp for bit in g.groups[node])
+                   for comp in components), key=lambda grp: grp[0])
+
+
 def test_truncation_three_node_hand_case():
     a = np.array([[0.0, 0.5, 0.1],
                   [0.5, 0.0, 0.3],
                   [0.1, 0.3, 0.0]])
-    assert groups_after_truncation(a, 1) == ([[0, 1], [2]], 1)
-    assert groups_after_truncation(a, 2) == ([[0, 1, 2]], 2)
-    assert groups_after_truncation(a, 0) == ([[0], [1], [2]], 0)
+    assert groups_after_truncation(a, 1) == [[0, 1], [2]]
+    assert groups_after_truncation(a, 2) == [[0, 1, 2]]
+    assert groups_after_truncation(a, 0) == [[0], [1], [2]]
 
 
-def test_truncate_snaps_exactly_m_edges():
-    # the oracle builds exactly m edges and takes their components by BFS
+def test_truncation_joins_along_the_strongest_crossing_edges():
+    # the oracle builds the fewest strongest edges that leave n - joins
+    # components and takes those components by BFS
     rng = np.random.default_rng(9)
     for n in (2, 3, 5, 7):
-        for m in range(n * (n - 1) // 2 + 1):
+        for joins in range(n):
             a = _random_symmetric(n, rng, scale=1.0)
             a[0, n - 1] = a[n - 1, 0] = a[0, 1]  # one tied pair of values
-            expected = top_m_components(a, m)
-            assert groups_after_truncation(a, m) == (expected, m)
-            merged, kept = truncate(_singletons(n), a, m)
-            assert (merged.groups, kept) == (expected, m)
+            expected = joined_components(a, joins)
+            assert len(expected) == n - joins
+            assert groups_after_truncation(a, joins) == expected
+            assert truncate(_singletons(n), a, joins).groups == expected
 
 
 def test_truncate_tie_break_is_lexicographic():
-    # all edges equal: m=2 must pick (0,1) and (0,2), never (1,2)
+    # all edges equal: 2 joins must take (0,1) and (0,2), never (1,2)
     a = np.ones((4, 4)) - np.eye(4)
-    assert groups_after_truncation(a, 1) == ([[0, 1], [2], [3]], 1)
-    assert groups_after_truncation(a, 2) == ([[0, 1, 2], [3]], 2)
+    assert groups_after_truncation(a, 1) == [[0, 1], [2], [3]]
+    assert groups_after_truncation(a, 2) == [[0, 1, 2], [3]]
 
 
 def test_truncate_rejects_bad_m_and_shape():
     g = _singletons(3)
-    with pytest.raises(ValueError):
-        truncate(g, np.zeros((3, 3)), 4)
+    with pytest.raises(ValueError):  # 3 nodes allow at most 2 joins
+        truncate(g, np.zeros((3, 3)), 3)
     with pytest.raises(ValueError):
         truncate(g, np.zeros((3, 3)), -1)
     merged = MergeGraph.from_partition(3, [[0, 1], [2]])
@@ -279,9 +287,8 @@ def test_truncate_rejects_bad_m_and_shape():
 def test_truncation_matches_pure_function():
     rng = np.random.default_rng(31)
     a = _random_symmetric(6, rng, scale=1.0)
-    expected = groups_after_truncation(a, 4)
-    merged, kept = truncate(_singletons(6), a, 4)
-    assert (merged.groups, kept) == expected
+    assert truncate(_singletons(6), a, 4).groups == \
+        groups_after_truncation(a, 4)
 
 
 def test_truncate_composes_round_groups_onto_partition():
@@ -289,7 +296,7 @@ def test_truncate_composes_round_groups_onto_partition():
     g = MergeGraph.from_partition(6, [[0, 3], [1], [2, 5], [4]])
     a = np.zeros((4, 4))
     a[0, 2] = a[2, 0] = 1.0
-    merged, _ = truncate(g, a, 1)
+    merged = truncate(g, a, 1)
     assert merged.groups == [[0, 2, 3, 5], [1], [4]]
     assert merged.n_nodes == 6
     assert g.groups == [[0, 3], [1], [2, 5], [4]]  # input untouched
@@ -303,28 +310,25 @@ def test_truncate_composes_round_groups_onto_partition():
         g = MergeGraph.from_partition(n, parts)
         k = g.n_groups
         a = _random_symmetric(k, rng, scale=1.0)
-        m = int(rng.integers(0, k * (k - 1) // 2 + 1))
-        expected = sorted((sorted(bit for node in comp for bit in g.groups[node])
-                           for comp in top_m_components(a, m)),
-                          key=lambda grp: grp[0])
-        assert truncate(g, a, m)[0].groups == expected
+        joins = int(rng.integers(0, k))
+        assert truncate(g, a, joins).groups == _partition_groups(
+            g, joined_components(a, joins))
 
 
-def test_floor_keeps_a_redundant_edge_before_the_crossing_edge():
-    # the triangle's third edge joins nothing but is kept and counted; the
-    # next edge, (3, 4), would leave 3 groups
+def test_truncation_skips_a_redundant_edge():
+    # the triangle's third edge, (1, 2), joins nothing and is skipped, so
+    # the third join is the next edge, (3, 4)
     a = np.zeros((6, 6))
     for (i, j), value in {(0, 1): 5.0, (0, 2): 4.0, (1, 2): 3.0,
                           (3, 4): 2.0, (4, 5): 1.0}.items():
         a[i, j] = a[j, i] = value
-    expected = ([[0, 1, 2], [3], [4], [5]], 3)
-    assert groups_after_truncation(a, 4, min_groups=4) == expected
-    assert retried_truncation(a, 4, 4) == expected
-    merged, kept = truncate(_singletons(6), a, 4, min_groups=4)
-    assert (merged.groups, kept) == expected
+    expected = [[0, 1, 2], [3, 4], [5]]
+    assert groups_after_truncation(a, 3) == expected
+    assert joined_components(a, 3) == expected
+    assert truncate(_singletons(6), a, 3).groups == expected
 
 
-def test_one_pass_floor_equals_retried_truncation():
+def test_truncation_equals_joined_components():
     # few distinct values, so many ties, with +-0.0 among them
     values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
     rng = np.random.default_rng(20)
@@ -337,15 +341,12 @@ def test_one_pass_floor_equals_retried_truncation():
             n, [perm[i:j] for i, j in zip([0, *cuts], [*cuts, n])])
         a = np.triu(rng.choice(values, size=(k, k)), 1)
         a = a + a.T
-        m = int(rng.integers(0, k * (k - 1) // 2 + 1))
-        b_out = int(rng.integers(1, k + 1))
-        comps, m_used = retried_truncation(a, m, b_out)
-        assert groups_after_truncation(a, m, b_out) == (comps, m_used)
-        merged, kept = truncate(g, a, m, b_out)
-        assert kept == m_used
-        assert merged.groups == sorted(
-            (sorted(bit for node in comp for bit in g.groups[node])
-             for comp in comps), key=lambda grp: grp[0])
+        joins = int(rng.integers(0, k))
+        comps = joined_components(a, joins)
+        assert groups_after_truncation(a, joins) == comps
+        merged = truncate(g, a, joins)
+        assert merged.n_groups == g.n_groups - joins
+        assert merged.groups == _partition_groups(g, comps)
 
 
 # --- frozen phase -------------------------------------------------------------

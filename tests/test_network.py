@@ -249,3 +249,11 @@ def test_sgd_rejects_mismatched_grads():
     with pytest.raises(ValueError):
         sgd_step(net, [(np.zeros((3, 4)), np.zeros(4))],
                  SgdConfig())  # one pair short
+    (dw0, db0), (dw1, db1) = [(np.zeros_like(w), np.zeros_like(b))
+                              for w, b in zip(net.weights, net.biases)]
+    with pytest.raises(ValueError,
+                       match="weight gradient shape mismatch at layer 1"):
+        sgd_step(net, [(dw0, db0), (dw1.T, db1)], SgdConfig())
+    with pytest.raises(ValueError,
+                       match="bias gradient shape mismatch at layer 0"):
+        sgd_step(net, [(dw0, db1), (dw1, db1)], SgdConfig())

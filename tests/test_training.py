@@ -202,12 +202,25 @@ def test_full_run_structure(dataset):
     round0 = report.rounds[0]
     assert round0["bits_before"] == 8
     assert round0["bits_after"] == 6
-    assert 1 <= round0["m_used"] <= 2
+    assert round0["m_used"] == 2
     assert len(round0["active_loss_per_epoch"]) == 2
     assert len(round0["frozen_loss_per_epoch"]) == 2
     assert report.leave_one_out is not None
     assert len(report.leave_one_out["map_without_bit"]) == 6
     assert report.groups == graph.groups
+
+
+def test_every_round_joins_its_planned_pairs():
+    # the README config on data seed 2: a round that counted an edge inside
+    # one group removed 3 groups, not 4, and the run took a third round
+    cfg = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
+                           backbone_sgd=DESK, seed=1)
+    run = TrainingRun(cfg, generate_synthetic(8, 16, 250, 2.0, seed=2)).run()
+    report = run.report()
+    assert report.epochs_total == cfg.planned_epochs() == 120
+    for r in report.rounds:
+        assert r["m_used"] == r["bits_before"] - r["bits_after"] \
+            == min(cfg.m, r["bits_before"] - cfg.b_out)
 
 
 def test_select_keeps_subset_of_bits(dataset):
