@@ -257,7 +257,6 @@ def test_criterion_3_merge_layer_invariants():
         a = np.triu(rng.uniform(0, 1, (5, 5)), 1)
         a = a + a.T
         expected = joined_components(a, joins)
-        trunc_ok &= len(expected) == 5 - joins
         trunc_ok &= groups_after_truncation(a, joins) == expected
         trunc_ok &= truncate(singletons, a, joins).groups == expected
     tie = np.ones((4, 4)) - np.eye(4)

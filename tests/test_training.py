@@ -210,17 +210,20 @@ def test_full_run_structure(dataset):
     assert report.groups == graph.groups
 
 
-def test_every_round_joins_its_planned_pairs():
+def test_every_round_joins_its_planned_pairs(dataset):
     # the README config on data seed 2: a round that counted an edge inside
-    # one group removed 3 groups, not 4, and the run took a third round
-    cfg = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
-                           backbone_sgd=DESK, seed=1)
-    run = TrainingRun(cfg, generate_synthetic(8, 16, 250, 2.0, seed=2)).run()
-    report = run.report()
-    assert report.epochs_total == cfg.planned_epochs() == 120
-    for r in report.rounds:
-        assert r["m_used"] == r["bits_before"] - r["bits_after"] \
-            == min(cfg.m, r["bits_before"] - cfg.b_out)
+    # one group removed 3 groups, not 4, and the run took a third round.
+    # 8 -> 5 bits with m 2 ends on a round of one join.
+    readme = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
+                              backbone_sgd=DESK, seed=1)
+    for cfg, data, joins in [
+            (readme, generate_synthetic(8, 16, 250, 2.0, seed=2), [4, 4]),
+            (small_config(b_out=5), dataset, [2, 1])]:
+        report = TrainingRun(cfg, data).run().report()
+        assert report.epochs_total == cfg.planned_epochs()
+        assert [r["m_used"] for r in report.rounds] == joins
+        for r in report.rounds:
+            assert r["m_used"] == r["bits_before"] - r["bits_after"]
 
 
 def test_select_keeps_subset_of_bits(dataset):
