@@ -13,12 +13,17 @@ part of this comparison rule is written once, and every entry point here
 and merging.score_neurons use it: _pairing (code alphabet, one code
 length, one label set per row), _keys, _packed, _ranked_relevance (sorts
 packed values), _hit_counts and _ap_per_query; precision_at_hamming_radius
-and pr_curve count keys.  _keys and relevance_matrix take their products
-through _products, which runs a small one in blocks for one BLAS thread.
+and pr_curve count keys.  _keys and _indicator_relevance take their
+products through _products, which runs a small one in blocks for one BLAS
+thread.
 
 Labels are multi-label: each item carries a non-empty set of integer label
 ids that fit in int64, and two items count as relevant to each other when
-the sets intersect.
+the sets intersect.  Relevance is computed one way: _label_indicator
+builds the item x label 0/1 matrix over one vocabulary, and
+_indicator_relevance marks the pairs of its rows with a positive product.
+relevance_matrix builds the indicator of its two sequences per call; a
+training run builds its dataset's once and takes each batch's rows.
 """
 
 from __future__ import annotations
@@ -121,19 +126,32 @@ def _label_ids(labels):
     return ids, counts
 
 
-def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
-    """Boolean (n_query, n_gallery) matrix of label-set intersection."""
-    q_ids, q_counts = _label_ids(query_labels)
-    g_ids, g_counts = _label_ids(gallery_labels)
-    vocab, column = np.unique(np.concatenate([q_ids, g_ids]),
-                              return_inverse=True)
-    counts = np.concatenate([q_counts, g_counts])
+def _label_indicator(*label_seqs):
+    """Item x label 0/1 float64 matrix over the items of the label
+    sequences, in order, with one column per label id they hold."""
+    ids, counts = zip(*map(_label_ids, label_seqs))
+    vocab, column = np.unique(np.concatenate(ids), return_inverse=True)
+    counts = np.concatenate(counts)
     ind = np.zeros((counts.size, vocab.size))
     ind[np.repeat(np.arange(counts.size), counts), column] = 1.0
-    rel = np.empty((q_counts.size, g_counts.size), dtype=bool)
-    for cols, shared in _products(ind[:q_counts.size], ind[q_counts.size:]):
+    return ind
+
+
+def _indicator_relevance(a, b):
+    """Boolean matrix of label-set intersection between the rows of two
+    float64 indicators over one vocabulary: a shared label makes a
+    positive product."""
+    rel = np.empty((a.shape[0], b.shape[0]), dtype=bool)
+    for cols, shared in _products(a, b):
         np.greater(shared, 0, out=rel[:, cols])
     return rel
+
+
+def relevance_matrix(query_labels, gallery_labels) -> np.ndarray:
+    """Boolean (n_query, n_gallery) matrix of label-set intersection."""
+    ind = _label_indicator(query_labels, gallery_labels)
+    n_query = len(query_labels)
+    return _indicator_relevance(ind[:n_query], ind[n_query:])
 
 
 def _hit_counts(flags):

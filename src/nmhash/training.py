@@ -33,14 +33,15 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .data import (FeatureDataset, ROLE_QUERY, ROLE_TRAIN, ROLE_VALIDATION,
-                   assign_splits, build_similarity, standardize)
+                   assign_splits, standardize)
 from .errors import CheckpointError, ConfigError
 from .losses import relaxed_hash_loss
 from .merging import (MergeGraph, active_grad, active_loss,
                       apply_active_step, apply_choices, draw_choices,
                       eval_forward, frozen_grads, frozen_loss,
                       propagate_scores, score_neurons, truncate)
-from .metrics import (mean_average_precision, precision_at_hamming_radius)
+from .metrics import (_indicator_relevance, _label_indicator,
+                      mean_average_precision, precision_at_hamming_radius)
 from .network import HashNet, SgdConfig, backward, forward, init_network, sgd_step
 
 VARIANT_FULL = "full"
@@ -395,6 +396,9 @@ class TrainingRun:
             )
         self.features = ds.features
         self.labels = ds.labels
+        # one byte per cell; derived from the labels, so neither the
+        # checkpoint nor the dataset fingerprint holds it
+        self._label_ind = _label_indicator(ds.labels).astype(np.uint8)
 
         width = cfg.encoder_width()
         if _restore is None:
@@ -410,7 +414,7 @@ class TrainingRun:
             self._settle()
         else:
             self._restore_from(_restore)
-        self._val_codes_cache: np.ndarray | None = None
+        self._val_codes_cache: tuple[np.ndarray, list[frozenset]] | None = None
 
     # -- state round trip ------------------------------------------------
 
@@ -691,8 +695,9 @@ class TrainingRun:
     # -- per-batch steps -------------------------------------------------
 
     def _batch_similarity(self, rows) -> np.ndarray:
-        labels = [self.labels[i] for i in rows]
-        return build_similarity(labels, labels)
+        """+1 where two of the batch's items share a label, else -1."""
+        ind = self._label_ind[rows].astype(np.float64)
+        return np.where(_indicator_relevance(ind, ind), 1.0, -1.0)
 
     def _base_step(self, b_index, rows):
         cfg = self.cfg

@@ -213,6 +213,32 @@ def test_build_similarity_multi_label_overlap():
     assert build_similarity([{1}], [{2}])[0, 0] == -1.0
 
 
+def test_run_batch_similarity_equals_build_similarity():
+    # a training run takes each batch's similarity from rows of its label
+    # indicator; it must equal the label walk exactly, for 1-3 labels per
+    # item with sparse and extreme ids
+    from nmhash.training import ExperimentConfig, TrainingRun
+
+    rng = np.random.default_rng(7)
+    pool = np.array([0, 1, 9, 2**31, 2**62, 2**63 - 2, 2**63 - 1])
+    labels = [{0}, {2**62}, {2**63 - 1, 0}] + [
+        pool[rng.choice(pool.size, rng.integers(1, 4), replace=False)].tolist()
+        for _ in range(197)]
+    ds = FeatureDataset(rng.standard_normal((200, 3)), labels,
+                        np.full(200, ROLE_TRAIN))
+    cfg = ExperimentConfig(b_in=4, b_out=4, variant="baseline",
+                           base_epochs=1, hidden_dims=(4,), n_validation=0,
+                           n_query=10)
+    run = TrainingRun(cfg, ds)
+    batches = [run.train_idx[:3], run.train_idx, rng.permutation(200)[:1]]
+    batches += [rng.choice(200, 64, replace=False) for _ in range(20)]
+    for rows in batches:
+        batch = [run.labels[i] for i in rows]
+        got = run._batch_similarity(rows)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, build_similarity(batch, batch))
+
+
 # --- learnability of the default benchmark -------------------------------------
 
 def test_default_synthetic_set_supports_accurate_retrieval():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import nmhash.training
-from nmhash.data import assign_splits, generate_synthetic
+from nmhash.data import (ROLE_TRAIN, FeatureDataset, assign_splits,
+                         build_similarity, generate_synthetic)
 from nmhash.errors import CheckpointError, ConfigError
 from nmhash.merging import score_neurons
 from nmhash.network import SgdConfig
@@ -255,6 +256,53 @@ def test_random_variant_merges_without_active_epochs(dataset):
     assert report.epochs_total == 2 + 2  # base + frozen only, no active
     assert len(report.rounds) == 1
     assert report.rounds[0]["active_loss_per_epoch"] == []
+
+
+@pytest.fixture(scope="module")
+def multi_label_dataset():
+    # 1-3 labels per item, with sparse and extreme ids; an item's features
+    # mix its labels' centers
+    rng = np.random.default_rng(11)
+    ids = np.array([0, 5, 2**40, 2**62, 2**63 - 1])
+    centers = 3.0 * rng.standard_normal((ids.size, 8))
+    labels, rows = [], []
+    for _ in range(240):
+        pick = rng.choice(ids.size, rng.integers(1, 4), replace=False)
+        labels.append(ids[pick].tolist())
+        rows.append(centers[pick].mean(axis=0) + rng.standard_normal(8))
+    return FeatureDataset(np.array(rows), labels, np.full(240, ROLE_TRAIN))
+
+
+def _label_walk_similarity(run, rows):
+    labels = [run.labels[i] for i in rows]
+    return build_similarity(labels, labels)
+
+
+@pytest.mark.parametrize("variant, stage", [("full", "frozen"),
+                                            ("fclayer", "fc")])
+def test_multi_label_run_equals_the_label_walk(tmp_path, monkeypatch,
+                                               multi_label_dataset, variant,
+                                               stage):
+    # the run's indicator rows against the per-batch label walk: the
+    # same report, and the same checkpoint one epoch into the stage that
+    # trains through the merged or fc-layer output
+    cfg = small_config(variant=variant)
+    stop = cfg.base_epochs + (cfg.n0_epochs if variant == "full" else 0) + 1
+    run = TrainingRun(cfg, multi_label_dataset).run(stop_after=stop)
+    assert run.stage == stage and run.epoch_in_stage == 1
+    save_checkpoint(run.to_checkpoint(), tmp_path / "indicator.ckpt")
+    expected = run.run().report().to_json()
+    with monkeypatch.context() as patch:
+        patch.setattr(TrainingRun, "_batch_similarity",
+                      _label_walk_similarity)
+        walk = TrainingRun(cfg, multi_label_dataset).run(stop_after=stop)
+        save_checkpoint(walk.to_checkpoint(), tmp_path / "walk.ckpt")
+        assert walk.run().report().to_json() == expected
+    assert (tmp_path / "walk.ckpt").read_bytes() \
+        == (tmp_path / "indicator.ckpt").read_bytes()
+    resumed = TrainingRun.from_checkpoint(
+        load_checkpoint(tmp_path / "indicator.ckpt"), multi_label_dataset)
+    assert resumed.run().report().to_json() == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
