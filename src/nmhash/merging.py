@@ -6,7 +6,8 @@ two phases:
 * Active: every current group is one node and the round learns a
   symmetric adjacency matrix A over those nodes.  Per minibatch, each bit k
   gets a score p_k (the retrieval MAP with bit k deleted, so redundant bits
-  score high), the scores diffuse one step along A to p', and A takes one
+  score high; score_neurons ranks each distinct pair of query code row and
+  relevance row once, as trained codes repeat), the scores diffuse one step along A to p', and A takes one
   step of active_grad, the pair terms of the score-gap loss
   sum_{i != j} |p'_i - p'_j|.  That step raises A_ij by
   nm_learning_rate * |p_i - p_j| while p' keeps the order of p_i and p_j
@@ -85,12 +86,23 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
     p_k is the MAP of the queries against the gallery with column k deleted
     from both code matrices.  A bit whose deletion leaves MAP high is
     redundant.  Needs at least 2 columns (ConfigError otherwise).
+
+    A query's AP depends only on its code row and its relevance row, so
+    equal query rows are ranked once per bit and their AP is reused.
     """
     rel = relevance_matrix(query_labels, gallery_labels)
     q, g = _pairing(query_codes, gallery_codes, rel)
     k = q.shape[1]
     if k < 2:
         raise ConfigError("scoring needs at least 2 effective bits")
+    # one void item per (code, relevance) row: np.unique sorts these bytes
+    # far faster than rows under axis=0.  Each score gathers its APs back
+    # into query order, so the mean sums the same values in the same order.
+    rows = np.hstack([q.astype(np.int8), rel])
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    q, rel = q[first], rel[first]
     # without bit b the key K - a.b becomes key - 1 + q_b g_b.  The packed
     # values shift by exact integers, so every ranking, ties included, is
     # the direct computation's bit for bit.
@@ -108,7 +120,7 @@ def score_neurons(gallery_codes, gallery_labels, query_codes,
         ranked += packed
         ranked.sort(axis=1)
         ranked &= 1
-        scores[bit] = _ap_per_query(ranked).mean()
+        scores[bit] = _ap_per_query(ranked)[inverse].mean()
     return scores
 
 

@@ -10,7 +10,8 @@ their inputs.  A ranking is one plain integer sort: _packed folds each
 pair into key * 2G + 2 * gallery index + relevance flag, over a gallery of
 G items, and these distinct values ascend by (key, gallery index).  Each
 part of this comparison rule is written once, and every entry point here
-and merging.score_neurons use it: _pairing (code alphabet, one code
+and merging.score_neurons (which ranks equal query rows once) use it:
+_pairing (code alphabet, one code
 length, one label set per row), _keys, _packed, _ranked_relevance (sorts
 packed values), _hit_counts and _ap_per_query; precision_at_hamming_radius
 and pr_curve count keys.  _keys and _indicator_relevance take their

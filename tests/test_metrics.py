@@ -471,6 +471,71 @@ def test_bit_scores_equal_map_without_the_bit_exactly():
                                                     g[:, keep], gl)
 
 
+def duplicated_instance(rng, n_query, n_gallery, k, n_codes):
+    """Queries and gallery drawn from a few distinct code rows and label
+    sets, as trained codes look."""
+    codes = rng.integers(-1, 2, (n_codes, k))
+    sets = [{0}, {1}, {0, 1}, {2}, {1, 3}]
+    q = codes[rng.integers(0, n_codes, n_query)]
+    ql = [sets[i] for i in rng.integers(0, len(sets), n_query)]
+    g = codes[rng.integers(0, n_codes, n_gallery)]
+    gl = [sets[i] for i in rng.integers(0, len(sets), n_gallery)]
+    return q, ql, g, gl
+
+
+def test_bit_scores_are_exact_under_heavy_duplication():
+    rng = np.random.default_rng(1357)
+    instances = [duplicated_instance(rng, int(rng.integers(2, 60)),
+                                     int(rng.integers(2, 150)),
+                                     int(rng.integers(2, 10)),
+                                     int(rng.integers(1, 5)))
+                 for _ in range(30)]
+    for q, ql, g, gl in instances:
+        # equal codes with different label sets, equal label sets on
+        # different codes, and a query no gallery item is relevant to
+        q = np.vstack([q, q[:1], -q[:1], q[:1]])
+        ql = ql + [{4}, ql[0], {99}]
+        p = score_neurons(g, gl, q, ql)
+        for bit in range(q.shape[1]):
+            keep = [c for c in range(q.shape[1]) if c != bit]
+            assert p[bit] == mean_average_precision(q[:, keep], ql,
+                                                    g[:, keep], gl)
+
+
+@pytest.mark.parametrize("labels, distinct", [
+    # equal codes, different label sets, different relevance rows
+    (({0}, {1}, {0}), 3),
+    # {0} and {0, 7} differ, but no gallery item holds 7: equal rows
+    (({0}, {0, 7}, {1}), 2),
+])
+def test_equal_query_rows_are_ranked_once(monkeypatch, labels, distinct):
+    import nmhash.merging as merging
+
+    rows = []
+
+    def recording(ranked):
+        rows.append(ranked.shape[0])
+        return _ap_per_query(ranked)
+
+    monkeypatch.setattr(merging, "_ap_per_query", recording)
+    rng = np.random.default_rng(97)
+    a, b = rng.integers(-1, 2, (2, 6))
+    a[0], b[0] = 1, -1
+    pick = rng.integers(0, 3, 40)
+    pick[:3] = [0, 1, 2]
+    q = np.array([a, a, b])[pick]
+    ql = [labels[i] for i in pick]
+    g = rng.integers(-1, 2, (50, 6))
+    gl = [{int(v)} for v in rng.integers(0, 3, 50)]
+    p = score_neurons(g, gl, q, ql)
+    assert rows == [distinct] * 6
+    monkeypatch.undo()
+    for bit in range(6):
+        keep = [c for c in range(6) if c != bit]
+        assert p[bit] == mean_average_precision(q[:, keep], ql,
+                                                g[:, keep], gl)
+
+
 # --- pairing refusals --------------------------------------------------------
 
 _Q = [[1, -1, 0], [1, 1, 1]]
