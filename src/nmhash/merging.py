@@ -7,12 +7,12 @@ two phases:
   symmetric adjacency matrix A over those nodes.  Per minibatch, each bit k
   gets a score p_k (the retrieval MAP with bit k deleted, so redundant bits
   score high; score_neurons ranks each distinct pair of query code row and
-  relevance row once, as trained codes repeat), the scores diffuse one step along A to p', and A takes one
-  step of active_grad, the pair terms of the score-gap loss
-  sum_{i != j} |p'_i - p'_j|.  That step raises A_ij by
-  nm_learning_rate * |p_i - p_j| while p' keeps the order of p_i and p_j
-  (always from A = 0, where p' = p) and lowers it by as much where p' has
-  reversed that order; bits with equal scores get no change.  So an edge
+  relevance row once, as trained codes repeat), the scores diffuse one
+  step along A to p', and A takes one step of active_grad, the pair terms
+  of the score-gap loss sum_{i != j} |p'_i - p'_j|.  That step raises
+  A_ij by nm_learning_rate * |p_i - p_j| while p' keeps the order of p_i
+  and p_j (always from A = 0, where p' = p) and lowers it by as much where
+  p' has reversed that order; bits with equal scores get no change.  So an edge
   grows with the gap between two bits' scores, not with their likeness.
   A is a plain array; the caller owns it.
 

@@ -11,12 +11,11 @@ pair into key * 2G + 2 * gallery index + relevance flag, over a gallery of
 G items, and these distinct values ascend by (key, gallery index).  Each
 part of this comparison rule is written once, and every entry point here
 and merging.score_neurons (which ranks equal query rows once) use it:
-_pairing (code alphabet, one code
-length, one label set per row), _keys, _packed, _ranked_relevance (sorts
-packed values), _hit_counts and _ap_per_query; precision_at_hamming_radius
-and pr_curve count keys.  _keys and _indicator_relevance take their
-products through _products, which runs a small one in blocks for one BLAS
-thread.
+_pairing (code alphabet, one code length, one label set per row), _keys,
+_packed, _ranked_relevance (sorts packed values), _hit_counts and
+_ap_per_query; precision_at_hamming_radius and pr_curve count keys.
+_keys and _indicator_relevance take their products through _products,
+which runs a small one in blocks for one BLAS thread.
 
 Labels are multi-label: each item carries a non-empty set of integer label
 ids that fit in int64, and two items count as relevant to each other when

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmhash import merging
 from nmhash.data import build_similarity
 from nmhash.errors import InvalidCodeError
 from nmhash.merging import score_neurons
@@ -509,8 +510,6 @@ def test_bit_scores_are_exact_under_heavy_duplication():
     (({0}, {0, 7}, {1}), 2),
 ])
 def test_equal_query_rows_are_ranked_once(monkeypatch, labels, distinct):
-    import nmhash.merging as merging
-
     rows = []
 
     def recording(ranked):
