@@ -26,21 +26,17 @@ dataset = generate_synthetic(8, 16, 250, 2.0, seed=0)
 
 # full: 30 base + 2 rounds x (5 active + 40 frozen) = 120 epochs.
 # baseline gets the same 120 epochs at the final width so the comparison
-# is budget-matched, not just width-matched.
-def make_config(variant: str, seed: int) -> ExperimentConfig:
-    full = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
-                            seed=seed, backbone_sgd=DESK_SGD)
-    if variant != "baseline":
-        return dataclasses.replace(full, variant=variant)
-    return dataclasses.replace(full, variant=variant, b_in=full.b_out,
-                               base_epochs=full.planned_epochs())
+# is budget-matched, not just width-matched; budget_matched does the sum.
+FULL = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
+                        backbone_sgd=DESK_SGD)
 
 
 rows = []
 for variant in ("full", "baseline", "random", "select"):
     maps, spreads = [], []
     for seed in SEEDS:
-        report = TrainingRun(make_config(variant, seed), dataset).run().report()
+        cfg = dataclasses.replace(FULL.budget_matched(variant), seed=seed)
+        report = TrainingRun(cfg, dataset).run().report()
         maps.append(report.final["map"])
         spreads.append(report.leave_one_out["std"])
     rows.append((variant, statistics.median(maps),

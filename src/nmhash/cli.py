@@ -3,7 +3,9 @@
 Subcommands: gen-data, train, evaluate, ablate, profile, export-curves.
 Training options can come from a flat key=value config file (--config);
 explicit flags always win over file values, which win over defaults.
-Errors exit nonzero with a single `error: ...` line on stderr.
+Every refused value, whether from a flag or the file, exits 1 with a single
+`error: ...` line on stderr; argparse's own usage errors (an unknown flag,
+a missing --data) keep argparse's format and exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import statistics
 import sys
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 from .data import generate_synthetic, load_features, save_features
 from .errors import ConfigError, NmhashError
@@ -22,15 +24,13 @@ from .merging import score_neurons
 from .metrics import (mean_average_precision, pr_curve,
                       precision_at_hamming_radius, precision_at_top_n)
 from .network import SgdConfig
-from .training import (ExperimentConfig, TrainingRun, VARIANTS,
-                       VARIANT_BASELINE, VARIANT_DROPOUT, VARIANT_FULL,
+from .training import (ExperimentConfig, TrainingRun, VARIANTS, VARIANT_FULL,
                        load_checkpoint, save_checkpoint)
 
 _DEFAULT_TOP_N = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 def _parse_hidden_dims(text: str) -> tuple[int, ...]:
-    text = text.strip()
     if not text:
         return ()
     try:
@@ -65,6 +65,21 @@ _CONFIG_PARSERS = {
 
 _CONFIG_ALIASES = {"n0": "n0_epochs", "n1": "n1_epochs",
                    "lr": "learning_rate", "nm_lr": "nm_learning_rate"}
+# training key -> its flag, named after the key's short alias if it has one
+_FLAGS = {key: "--" + key.replace("_", "-") for key in _CONFIG_PARSERS} | {
+    key: "--" + alias.replace("_", "-") for alias, key in _CONFIG_ALIASES.items()}
+
+
+def _parse_value(key: str, text: str, where: str):
+    """Parse text as the training key's value; a refusal names where the
+    text came from (a flag, or a config file line)."""
+    text = text.strip()
+    try:
+        return _CONFIG_PARSERS[key](text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"{where}: bad value for {key!r}: {text!r}") from None
 
 
 def read_config_file(path) -> dict:
@@ -84,38 +99,22 @@ def read_config_file(path) -> dict:
             key = _CONFIG_ALIASES.get(key, key)
             if key not in _CONFIG_PARSERS:
                 raise ConfigError(f"config file line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](raw.strip())
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(
-                    f"config file line {lineno}: bad value for {key!r}: {raw.strip()!r}"
-                ) from None
+            values[key] = _parse_value(key, raw, f"config file line {lineno}")
     return values
 
 
 def _add_training_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
-    flag_names = {key: alias for alias, key in _CONFIG_ALIASES.items()}
-    for f, _ in _TRAINING_FIELDS:
-        flag = "--" + flag_names.get(f.name, f.name).replace("_", "-")
-        if f.name == "hidden_dims":  # parsed in build_experiment_config
-            p.add_argument(flag, dest=f.name, help="comma-separated hidden "
-                           "layer sizes, e.g. 256 or 128,64")
-        else:
-            p.add_argument(flag, dest=f.name, type=_CONFIG_PARSERS[f.name],
-                           choices=f.metadata.get("choices"))
+    for key, flag in _FLAGS.items():
+        p.add_argument(flag, dest=key)
 
 
 def build_experiment_config(args) -> ExperimentConfig:
     values = read_config_file(args.config) if args.config else {}
-    for key in _CONFIG_PARSERS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            if key == "hidden_dims":
-                flag_value = _parse_hidden_dims(flag_value)
-            values[key] = flag_value
+    for key, flag in _FLAGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = _parse_value(key, text, flag)
     sgd = SgdConfig(**{f.name: values.pop(f.name) for f in fields(SgdConfig)
                        if f.name in values})
     return ExperimentConfig(backbone_sgd=sgd, **values)
@@ -236,19 +235,6 @@ def cmd_export_curves(args) -> int:
     return 0
 
 
-def _matched_epoch_config(base: ExperimentConfig, variant: str,
-                          seed: int) -> ExperimentConfig:
-    """Per-variant config with epoch budgets matched to the full schedule."""
-    d = base.to_dict()
-    d["variant"] = variant
-    d["seed"] = seed
-    if variant in (VARIANT_BASELINE, VARIANT_DROPOUT):
-        d["base_epochs"] = base.planned_epochs()
-    if variant == VARIANT_BASELINE:
-        d["b_in"] = base.b_out
-    return ExperimentConfig.from_dict(d)
-
-
 def cmd_ablate(args) -> int:
     cfg = build_experiment_config(args)
     ds = load_features(args.data)
@@ -257,20 +243,17 @@ def cmd_ablate(args) -> int:
         raise ConfigError("--seeds must list at least one seed")
     if args.variants:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        for v in variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r} in --variants")
     else:
         variants = list(VARIANTS)
     if VARIANT_FULL in variants:  # full leads the table
         variants = [VARIANT_FULL] + [v for v in variants if v != VARIANT_FULL]
+    # every config is built, and so checked, before the first run trains
+    runs = [(variant, [replace(cfg.budget_matched(variant), seed=seed)
+                       for seed in seeds]) for variant in variants]
     rows = []
-    for variant in variants:
-        maps = []
-        for seed in seeds:
-            vcfg = _matched_epoch_config(cfg, variant, seed)
-            report = TrainingRun(vcfg, ds).run().report()
-            maps.append(report.final["map"])
+    for variant, configs in runs:
+        maps = [TrainingRun(vcfg, ds).run().report().final["map"]
+                for vcfg in configs]
         rows.append({"variant": variant,
                      "median_map": float(statistics.median(maps)),
                      "maps": [float(v) for v in maps]})

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -126,8 +126,7 @@ class ExperimentConfig:
     nm_learning_rate: float = 1e-2
     eta: float = 1200.0
     seed: int = 0
-    variant: str = field(default=VARIANT_FULL,
-                         metadata={"choices": VARIANTS})
+    variant: str = VARIANT_FULL
     dropout_rate: float = 0.5
     hidden_dims: tuple[int, ...] = (256,)
     n_validation: int | None = None
@@ -208,6 +207,17 @@ class ExperimentConfig:
         single-width variants train as base epochs."""
         return self.base_epochs + self.planned_merge_rounds() * (
             self.n0_epochs + self.n1_epochs)
+
+    def budget_matched(self, variant: str) -> "ExperimentConfig":
+        """This config as the given variant on the merging schedule's
+        budget: baseline and dropout train planned_epochs() base epochs,
+        and baseline trains at b_out bits."""
+        changes = {"variant": variant}
+        if variant in (VARIANT_BASELINE, VARIANT_DROPOUT):
+            changes["base_epochs"] = self.planned_epochs()
+        if variant == VARIANT_BASELINE:
+            changes["b_in"] = self.b_out
+        return replace(self, **changes)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -532,6 +542,10 @@ class TrainingRun:
             fits.append(("progress.current_round.round",
                          run.current_round.get("round"), run.round_index,
                          "to match counters.round_index"))
+        if run.done:  # the report reads its final MAP from the trace
+            fits.append(("progress.bit_trace's last bit count",
+                         run.bit_trace[-1][0] if run.bit_trace else "none",
+                         k, "in stage 'done'"))
         needs = {_STAGE_ACTIVE: {"round_adjacency": (k, k)},
                  _STAGE_SCORE: {"score_sum": (width,)},
                  _STAGE_FC: {"fc_w": (width, b_out), "fc_b": (b_out,)}}
@@ -793,7 +807,6 @@ class TrainingRun:
             raise RuntimeError("report requested before the schedule finished")
         q, q_labels = self.codes("query")
         g, g_labels = self.codes("gallery")
-        final_map = mean_average_precision(q, q_labels, g, g_labels)
         radius2 = precision_at_hamming_radius(q, q_labels, g, g_labels,
                                               radius=2.0)
         try:
@@ -815,7 +828,8 @@ class TrainingRun:
             bit_trace=[[int(b), float(v)] for b, v in self.bit_trace],
             groups=[list(map(int, grp)) for grp in self.graph.groups],
             final={"effective_bits": self.graph.n_groups,
-                   "map": float(final_map),
+                   # the _map_eval the last stage appended
+                   "map": float(self.bit_trace[-1][1]),
                    "precision_at_radius2": float(radius2)},
             leave_one_out=loo,
             selected_bits=self.selected_bits,

@@ -249,9 +249,34 @@ def test_every_config_key_has_a_flag_that_matches_the_file(tmp_path):
         assert from_flags == from_file
         assert from_flags.hidden_dims == (16, 8)
         assert from_flags.backbone_sgd.learning_rate == 1e-6
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["train", "--data", "x.csv",
-                                   "--variant", "nonsense"])
+    args = build_parser().parse_args(["train", "--data", "x.csv",
+                                      "--variant", "nonsense"])
+    with pytest.raises(ConfigError, match="unknown variant 'nonsense'"):
+        build_experiment_config(args)
+
+
+# a value that does not parse is refused naming its flag or its file line;
+# any variant parses, and ExperimentConfig.validate names every variant
+@pytest.mark.parametrize("flag, text, message", [
+    ("--b-in", "x", "--b-in: bad value for 'b_in': 'x'"),
+    ("--lr", "x", "--lr: bad value for 'learning_rate': 'x'"),
+    ("--n0", "1.5", "--n0: bad value for 'n0_epochs': '1.5'"),
+    ("--variant", "bogus",
+     f"unknown variant 'bogus'; expected one of {VARIANTS}"),
+    ("--hidden-dims", "3,x",
+     "--hidden-dims: hidden_dims must be comma-separated ints, got '3,x'"),
+])
+def test_a_flag_and_a_file_line_are_refused_alike(tmp_path, capsys, flag,
+                                                  text, message):
+    # refused while the config is built: the data file is never opened
+    absent = str(tmp_path / "absent.csv")
+    assert main(["train", "--data", absent, flag, text]) == 1
+    assert _err_line(capsys) == f"error: {message}\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 1\n{flag[2:]} = {text}\n")
+    assert main(["train", "--data", absent, "--config", str(cfg)]) == 1
+    assert _err_line(capsys) == \
+        f"error: {message.replace(flag, 'config file line 2')}\n"
 
 
 # --- evaluate -------------------------------------------------------------------------
@@ -364,13 +389,20 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     (lambda b: b["counters"].update(round_index=-4),
      "counters.round_index must be 1 to count the rounds done and open, "
      "got -4"),
+    (lambda b: b["progress"].update(bit_trace=[]),
+     "progress.bit_trace's last bit count must be 6 in stage 'done', "
+     "got none"),
+    (lambda b: b["progress"].update(bit_trace=[[8, 0.5]]),
+     "progress.bit_trace's last bit count must be 6 in stage 'done', "
+     "got 8"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage",
         "str-global-epoch", "empty-adjacency-object", "str-net", "str-graph",
         "str-rng-state", "negative-rng-state-entry", "null-graph-groups",
         "str-graph-n-nodes", "null-net-layer-dims", "null-net-weights",
         "null-net-biases", "transposed-weight", "null-bit-trace-item",
         "null-base-loss-item", "negative-epoch-in-stage",
-        "negative-global-epoch", "negative-round-index"])
+        "negative-global-epoch", "negative-round-index", "empty-bit-trace",
+        "bit-trace-of-another-width"])
 def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):
@@ -613,6 +645,17 @@ def test_ablate_rejects_bad_seed_and_variant(data_file, capsys):
     _err_line(capsys)
     assert main(["ablate", "--data", str(data_file), "--seeds", ""]) == 1
     _err_line(capsys)
+
+
+def test_ablate_checks_every_config_before_training(data_file, monkeypatch,
+                                                    capsys):
+    def no_training(run, stop_after=None):
+        raise AssertionError("a run trained before every config was built")
+
+    monkeypatch.setattr(TrainingRun, "run", no_training)
+    assert main(["ablate", "--data", str(data_file), "--seeds", "1,2",
+                 "--variants", "full,bogus", *TRAIN_FLAGS]) == 1
+    assert "unknown variant 'bogus'" in _err_line(capsys)
 
 
 # --- console entry point -----------------------------------------------------------------

@@ -94,6 +94,19 @@ def test_planned_merge_rounds_arithmetic():
                             variant="baseline").planned_epochs() == 30
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_budget_matched_changes_only_what_the_variant_needs(variant):
+    full = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30, seed=2)
+    matched = full.budget_matched(variant)
+    changed = {"variant": variant}
+    if variant in ("baseline", "dropout"):
+        changed["base_epochs"] = full.planned_epochs()  # 120
+    if variant == "baseline":
+        changed["b_in"] = full.b_out
+    assert matched == dataclasses.replace(full, **changed)
+    assert full.variant == "full" and full.base_epochs == 30  # not mutated
+
+
 def test_split_size_defaults_and_overrides():
     cfg = ExperimentConfig()
     assert cfg.resolved_split_sizes(2000) == (200, 200)
