@@ -50,8 +50,6 @@ VARIANT_RANDOM = "random"
 VARIANT_SELECT = "select"
 VARIANT_DROPOUT = "dropout"
 VARIANT_FCLAYER = "fclayer"
-VARIANTS = (VARIANT_FULL, VARIANT_BASELINE, VARIANT_RANDOM, VARIANT_SELECT,
-            VARIANT_DROPOUT, VARIANT_FCLAYER)
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +59,19 @@ _STAGE_FROZEN = "frozen"
 _STAGE_SCORE = "score"
 _STAGE_FC = "fc"
 _STAGE_DONE = "done"
+
+# every variant's schedule after its base stage: variant -> (the stages of
+# one merge round, repeated while more than b_out groups remain, and the
+# stage after the rounds); full leads, as it leads the ablation table
+_SCHEDULES = {
+    VARIANT_FULL: ((_STAGE_ACTIVE, _STAGE_FROZEN), _STAGE_DONE),
+    VARIANT_BASELINE: ((), _STAGE_DONE),
+    VARIANT_RANDOM: ((_STAGE_FROZEN,), _STAGE_DONE),
+    VARIANT_SELECT: ((), _STAGE_SCORE),
+    VARIANT_DROPOUT: ((), _STAGE_DONE),
+    VARIANT_FCLAYER: ((), _STAGE_FC),
+}
+VARIANTS = tuple(_SCHEDULES)
 
 # the per-epoch loss lists of a merge round, in the order a round lists them
 _ROUND_LOGS = ("active_loss_per_epoch", "hash_loss_per_epoch",
@@ -158,8 +169,9 @@ class ExperimentConfig:
         for name in ("n0_epochs", "n1_epochs", "base_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.variant == VARIANT_SELECT and self.n0_epochs < 1:
-            raise ConfigError("select variant needs n0_epochs >= 1 to score bits")
+        if self.runs_stage(_STAGE_SCORE) and self.n0_epochs < 1:
+            raise ConfigError(
+                f"{self.variant} variant needs n0_epochs >= 1 to score bits")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # written so that NaN fails each range check
@@ -191,30 +203,41 @@ class ExperimentConfig:
             else min(500, n_items // 10)
         return n_val, n_query
 
+    def runs_stage(self, stage: str) -> bool:
+        rounds, last = _SCHEDULES[self.variant]
+        return stage in (_STAGE_BASE, *rounds, last, _STAGE_DONE)
+
     def needs_validation(self) -> bool:
-        return self.variant in (VARIANT_FULL, VARIANT_SELECT)
+        return self.runs_stage(_STAGE_ACTIVE) or self.runs_stage(_STAGE_SCORE)
 
     def encoder_width(self) -> int:
         return self.b_out if self.variant == VARIANT_DROPOUT else self.b_in
 
     def planned_merge_rounds(self) -> int:
-        if self.b_in == self.b_out:
-            return 0
         return math.ceil((self.b_in - self.b_out) / self.m)
 
+    def stage_epochs(self) -> dict:
+        """stage -> its epoch count; fc trains the rounds' frozen epochs."""
+        return {_STAGE_BASE: self.base_epochs, _STAGE_ACTIVE: self.n0_epochs,
+                _STAGE_FROZEN: self.n1_epochs, _STAGE_SCORE: self.n0_epochs,
+                _STAGE_FC: self.planned_merge_rounds() * self.n1_epochs}
+
     def planned_epochs(self) -> int:
-        """Total epochs of the merging schedule, which budget-matched
-        single-width variants train as base epochs."""
-        return self.base_epochs + self.planned_merge_rounds() * (
-            self.n0_epochs + self.n1_epochs)
+        """The epochs this config's run takes: its base stage, its merge
+        rounds if its schedule has any, and the stage after them."""
+        rounds, last = _SCHEDULES[self.variant]
+        epochs = self.stage_epochs()
+        return epochs[_STAGE_BASE] + epochs.get(last, 0) + \
+            self.planned_merge_rounds() * sum(epochs[s] for s in rounds)
 
     def budget_matched(self, variant: str) -> "ExperimentConfig":
         """This config as the given variant on the merging schedule's
-        budget: baseline and dropout train planned_epochs() base epochs,
-        and baseline trains at b_out bits."""
+        budget: baseline and dropout train as many base epochs as this
+        config's full run takes, and baseline trains at b_out bits."""
         changes = {"variant": variant}
         if variant in (VARIANT_BASELINE, VARIANT_DROPOUT):
-            changes["base_epochs"] = self.planned_epochs()
+            changes["base_epochs"] = replace(
+                self, variant=VARIANT_FULL).planned_epochs()
         if variant == VARIANT_BASELINE:
             changes["b_in"] = self.b_out
         return replace(self, **changes)
@@ -418,7 +441,7 @@ class TrainingRun:
             self.rng = np.random.default_rng(s_loop)
             for name, (_, _, fresh) in _STATE.items():
                 setattr(self, name, copy.deepcopy(fresh))
-            if cfg.variant == VARIANT_FCLAYER:
+            if cfg.runs_stage(_STAGE_FC):
                 head = init_network((cfg.b_in, cfg.b_out), s_head)
                 self.fc_w, self.fc_b = head.weights[0], head.biases[0]
             self._settle()
@@ -496,9 +519,9 @@ class TrainingRun:
                         dataset: FeatureDataset) -> "TrainingRun":
         run = cls(ExperimentConfig.from_dict(ckpt.config), dataset,
                   _restore=ckpt)
-        if run.stage not in (*run._stages(), _STAGE_DONE):
-            raise CheckpointError(f"checkpoint has unknown stage "
-                                  f"{run.stage!r}")
+        if not run.cfg.runs_stage(run.stage):
+            raise CheckpointError(f"checkpoint has unknown stage {run.stage!r}"
+                                  f" for variant {run.cfg.variant!r}")
         if run.stage != _STAGE_BASE and run.base_map is None:
             raise CheckpointError(f"checkpoint's progress.base_map is null "
                                   f"in stage {run.stage!r}")
@@ -514,7 +537,7 @@ class TrainingRun:
             raise CheckpointError(f"checkpoint's progress.current_round must "
                                   f"be null in stage {run.stage!r}")
         # checkpoints fall between epochs, after a finished stage is left
-        epochs = 1 if run.done else run._stages()[run.stage][0]
+        epochs = 1 if run.done else run.cfg.stage_epochs()[run.stage]
         if not 0 <= run.epoch_in_stage < epochs:
             raise CheckpointError(
                 f"checkpoint's counters.epoch_in_stage must be in "
@@ -572,24 +595,18 @@ class TrainingRun:
         return self.stage == _STAGE_DONE
 
     def _stages(self) -> dict:
-        """stage -> (its epoch count, its per-batch step, its completion step).
+        """stage -> (its per-batch step, its completion step).
 
         A step takes (batch index, batch rows) and returns its loss terms,
         named after the per-epoch lists they are averaged into, or None
         for a batch it skips.
         """
-        cfg = self.cfg
         return {
-            _STAGE_BASE: (cfg.base_epochs, self._base_step,
-                          self._complete_training),
-            _STAGE_ACTIVE: (cfg.n0_epochs, self._active_step,
-                            self._truncate_round),
-            _STAGE_FROZEN: (cfg.n1_epochs, self._frozen_step,
-                            self._complete_training),
-            _STAGE_SCORE: (cfg.n0_epochs, self._score_step,
-                           self._apply_selection),
-            _STAGE_FC: (cfg.planned_merge_rounds() * cfg.n1_epochs,
-                        self._fc_step, self._collapse_fc_head),
+            _STAGE_BASE: (self._base_step, self._complete_training),
+            _STAGE_ACTIVE: (self._active_step, self._truncate_round),
+            _STAGE_FROZEN: (self._frozen_step, self._complete_training),
+            _STAGE_SCORE: (self._score_step, self._apply_selection),
+            _STAGE_FC: (self._fc_step, self._collapse_fc_head),
         }
 
     def run(self, stop_after: int | None = None) -> "TrainingRun":
@@ -603,15 +620,13 @@ class TrainingRun:
         return self
 
     def _settle(self):
-        while not self.done:
-            epochs, _, complete = self._stages()[self.stage]
-            if self.epoch_in_stage < epochs:
-                break
-            complete()
+        while not self.done and \
+                self.epoch_in_stage >= self.cfg.stage_epochs()[self.stage]:
+            self._stages()[self.stage][1]()
 
     def _epoch(self):
         """One pass of the stage's step over the shuffled train split."""
-        _, step, _ = self._stages()[self.stage]
+        step, _ = self._stages()[self.stage]
         # base losses are recorded outside any merge round
         log = self.current_round or {
             "hash_loss_per_epoch": self.base_loss_per_epoch}
@@ -630,7 +645,6 @@ class TrainingRun:
 
     def _complete_training(self):
         """End of the base stage, or of a merge round's frozen stage."""
-        cfg = self.cfg
         stage_map = self._map_eval()
         self.bit_trace.append([self.graph.n_groups, stage_map])
         if self.current_round is None:
@@ -639,32 +653,29 @@ class TrainingRun:
             self.current_round["map"] = stage_map
             self.rounds_done.append(self.current_round)
             self.current_round = None
-        if cfg.variant in (VARIANT_FULL, VARIANT_RANDOM) \
-                and self.graph.n_groups > cfg.b_out:
-            self._start_merge_round()
-        elif cfg.variant == VARIANT_SELECT:
-            self.score_sum = np.zeros(self.net.n_bits)
-            self.score_batches = 0
-            self._enter(_STAGE_SCORE)
-        elif cfg.variant == VARIANT_FCLAYER:
-            self._enter(_STAGE_FC)
+        rounds, last = _SCHEDULES[self.cfg.variant]
+        if rounds and self.graph.n_groups > self.cfg.b_out:
+            self._start_merge_round(rounds[0])
         else:
-            self._enter(_STAGE_DONE)
+            if last == _STAGE_SCORE:
+                self.score_sum = np.zeros(self.net.n_bits)
+                self.score_batches = 0
+            self._enter(last)
 
     def _enter(self, stage: str):
         self.stage = stage
         self.epoch_in_stage = 0
         self._val_codes_cache = None
 
-    def _start_merge_round(self):
+    def _start_merge_round(self, first: str):
         self.round_index += 1
         k = self.graph.n_groups
         self.current_round = {"round": self.round_index, "bits_before": k,
                               **{log: [] for log in _ROUND_LOGS}}
-        if self.cfg.variant == VARIANT_FULL:
+        if first == _STAGE_ACTIVE:
             self.round_adjacency = np.zeros((k, k))
             self._enter(_STAGE_ACTIVE)
-        else:  # random: skip score learning, merge a random adjacency
+        else:  # no active stage: skip score learning, merge a random adjacency
             adj = np.zeros((k, k))
             iu = np.triu_indices(k, 1)
             adj[iu] = self.rng.random(iu[0].size)

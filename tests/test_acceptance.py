@@ -70,9 +70,10 @@ def trend_runs(default_set):
     """Criteria 4-6 share these 20 runs (4 variants x seeds 1..5).
 
     Full: 24 -> 16, m 4, 30 base + 2 rounds x (5 active + 40 frozen)
-    = 120 epochs.  Width-matched ablations get the same 120-epoch budget:
-    Baseline trains 16 bits for all 120; Random and Select reuse the Full
-    schedule shape.
+    = 120 epochs.  Baseline trains 16 bits for the same 120 epochs.
+    Random and Select keep Full's base epochs and widths, so they train
+    fewer: Random 30 + 2 rounds x 40 frozen = 110, and Select 30 + 5
+    scoring = 35.
     """
     t0 = time.time()
     reports: dict[str, list] = {}

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nmhash
@@ -412,6 +413,32 @@ def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
     assert message in _err_line(capsys)
 
 
+@pytest.mark.parametrize("variant, stop, stage, arrays", [
+    ("baseline", None, "score", {"score_sum": (6,)}),
+    ("select", None, "fc", {"fc_w": (6, 6), "fc_b": (6,)}),
+    ("random", 2, "active", {"round_adjacency": (6, 6)})],
+    ids=["baseline-score", "select-fc", "random-active"])
+def test_evaluate_rejects_a_stage_the_variant_never_runs(
+        data_file, tmp_path, capsys, variant, stop, stage, arrays):
+    # each checkpoint holds what the other variant's stage needs, so only
+    # the variant's schedule can refuse it
+    widths = ["--b-in", "6"] if variant == "baseline" else []
+    args = build_parser().parse_args(["train", "--data", str(data_file),
+                                      *TRAIN_FLAGS, *widths,
+                                      "--variant", variant])
+    run = TrainingRun(build_experiment_config(args),
+                      load_features(data_file)).run(stop_after=stop)
+    run.stage = stage
+    for name, shape in arrays.items():
+        setattr(run, name, np.zeros(shape))
+    ckpt = tmp_path / "foreign.ckpt"
+    save_checkpoint(run.to_checkpoint(), ckpt)
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(data_file)]) == 1
+    assert f"unknown stage {stage!r} for variant {variant!r}" in \
+        _err_line(capsys)
+
+
 def _key_paths(value, path=()):
     """Every key path inside a JSON value, each parent before its children."""
     items = value.items() if isinstance(value, dict) else \
@@ -635,6 +662,18 @@ def test_ablate_runs_every_variant_without_variants_flag(data_file, tmp_path,
     variants = [row["variant"] for row in json.loads(out.read_text())["rows"]]
     assert variants == list(VARIANTS)  # full leads VARIANTS already
     assert [line.split()[0] for line in printed] == variants
+
+
+def test_ablate_budget_is_full_whatever_the_variant_flag(data_file, tmp_path):
+    # --variant random alone would plan 4 epochs here, full plans 6
+    tables = []
+    for variant in ([], ["--variant", "random"]):
+        out = tmp_path / f"table{len(tables)}.json"
+        assert main(["ablate", "--data", str(data_file), "--seeds", "1",
+                     "--variants", "baseline", *TRAIN_FLAGS, *variant,
+                     "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_ablate_rejects_bad_seed_and_variant(data_file, capsys):

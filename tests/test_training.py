@@ -107,6 +107,21 @@ def test_budget_matched_changes_only_what_the_variant_needs(variant):
     assert full.variant == "full" and full.base_epochs == 30  # not mutated
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_planned_epochs_are_the_epochs_each_variant_runs(dataset, variant):
+    # the README config, and 8 -> 5 bits with m 2, which does not divide 3
+    readme = ExperimentConfig(b_in=24, b_out=16, m=4, base_epochs=30,
+                              backbone_sgd=DESK, seed=1)
+    planned = {"full": (120, 10), "baseline": (120, 10), "random": (110, 6),
+               "select": (35, 4), "dropout": (120, 10), "fclayer": (110, 6)}
+    for full, epochs in zip([readme, small_config(b_out=5)],
+                            planned[variant]):
+        cfg = full.budget_matched(variant)
+        assert cfg.planned_epochs() == epochs
+        assert TrainingRun(cfg, dataset).run().global_epoch == epochs
+        assert cfg.needs_validation() == (variant in ("full", "select"))
+
+
 def test_split_size_defaults_and_overrides():
     cfg = ExperimentConfig()
     assert cfg.resolved_split_sizes(2000) == (200, 200)
