@@ -53,6 +53,8 @@ class HashNet:
         if not pairs or list(map(np.shape, self.weights)) != pairs \
                 or list(map(np.shape, self.biases)) != [p[1:] for p in pairs]:
             raise ValueError(f"weights and biases do not fit layer_dims {dims}")
+        if min(dims) < 1:
+            raise ValueError(f"layer sizes must be >= 1, got {dims}")
 
     @property
     def input_dim(self) -> int:

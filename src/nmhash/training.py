@@ -411,7 +411,7 @@ class TrainingRun:
         cfg.validate()
         self.cfg = cfg
         seq = np.random.SeedSequence(cfg.seed)
-        s_split, s_init, s_loop, s_head = seq.spawn(4)
+        s_split, s_init, s_loop, self._s_head = seq.spawn(4)
 
         n_val, n_query = cfg.resolved_split_sizes(dataset.n_items)
         if (dataset.roles == ROLE_TRAIN).all():
@@ -441,9 +441,6 @@ class TrainingRun:
             self.rng = np.random.default_rng(s_loop)
             for name, (_, _, fresh) in _STATE.items():
                 setattr(self, name, copy.deepcopy(fresh))
-            if cfg.runs_stage(_STAGE_FC):
-                head = init_network((cfg.b_in, cfg.b_out), s_head)
-                self.fc_w, self.fc_b = head.weights[0], head.biases[0]
             self._settle()
         else:
             self._restore_from(_restore)
@@ -547,13 +544,16 @@ class TrainingRun:
             raise CheckpointError(
                 "checkpoint's counters.global_epoch must be >= "
                 f"counters.epoch_in_stage, got {run.global_epoch}")
+        if run.score_batches < 0:  # _apply_selection divides by it
+            raise CheckpointError("checkpoint's progress.score_batches must "
+                                  f"be >= 0, got {run.score_batches}")
         if run._dataset_sha256() != ckpt.dataset_sha256:
             raise CheckpointError(
                 "checkpoint was written for a different dataset: features, "
                 "labels or splits differ"
             )
         # sizes that the sections, the data and the stage must agree on
-        k, width, b_out = run.graph.n_groups, run.net.n_bits, run.cfg.b_out
+        k, width = run.graph.n_groups, run.net.n_bits
         fits = [("net.layer_dims[0]", run.net.input_dim,
                  run.features.shape[1], "to match the data's feature count"),
                 ("graph.n_nodes", run.graph.n_nodes, width,
@@ -569,13 +569,11 @@ class TrainingRun:
             fits.append(("progress.bit_trace's last bit count",
                          run.bit_trace[-1][0] if run.bit_trace else "none",
                          k, "in stage 'done'"))
-        needs = {_STAGE_ACTIVE: {"round_adjacency": (k, k)},
-                 _STAGE_SCORE: {"score_sum": (width,)},
-                 _STAGE_FC: {"fc_w": (width, b_out), "fc_b": (b_out,)}}
-        for name, shape in needs.get(run.stage, {}).items():
+        for name, fresh in run._stage_arrays(run.stage).items():
             value = getattr(run, name)
             fits.append((f"progress.{name} shape",
-                         "null" if value is None else value.shape, shape,
+                         "null" if value is None else value.shape,
+                         "null" if fresh is None else fresh.shape,
                          f"in stage {run.stage!r}"))
         for where, got, want, why in fits:
             if got != want:
@@ -657,15 +655,27 @@ class TrainingRun:
         if rounds and self.graph.n_groups > self.cfg.b_out:
             self._start_merge_round(rounds[0])
         else:
-            if last == _STAGE_SCORE:
-                self.score_sum = np.zeros(self.net.n_bits)
-                self.score_batches = 0
             self._enter(last)
 
     def _enter(self, stage: str):
         self.stage = stage
         self.epoch_in_stage = 0
         self._val_codes_cache = None
+        vars(self).update(self._stage_arrays(stage))
+
+    def _stage_arrays(self, stage: str) -> dict:
+        """The array entries of _STATE as a run entering the stage starts
+        them; an array is None outside the one stage that reads it."""
+        arrays = {n: None for n, (_, t, _) in _STATE.items() if t is np.ndarray}
+        k, width = self.graph.n_groups, self.net.n_bits
+        if stage == _STAGE_ACTIVE:
+            arrays["round_adjacency"] = np.zeros((k, k))
+        elif stage == _STAGE_SCORE:
+            arrays["score_sum"] = np.zeros(width)
+        elif stage == _STAGE_FC:
+            head = init_network((width, self.cfg.b_out), self._s_head)
+            arrays["fc_w"], arrays["fc_b"] = head.weights[0], head.biases[0]
+        return arrays
 
     def _start_merge_round(self, first: str):
         self.round_index += 1
@@ -673,7 +683,6 @@ class TrainingRun:
         self.current_round = {"round": self.round_index, "bits_before": k,
                               **{log: [] for log in _ROUND_LOGS}}
         if first == _STAGE_ACTIVE:
-            self.round_adjacency = np.zeros((k, k))
             self._enter(_STAGE_ACTIVE)
         else:  # no active stage: skip score learning, merge a random adjacency
             adj = np.zeros((k, k))
@@ -689,7 +698,6 @@ class TrainingRun:
         self.graph = truncate(self.graph, self.round_adjacency, joins)
         self.current_round["m_used"] = joins
         self.current_round["bits_after"] = self.graph.n_groups
-        self.round_adjacency = None
         self._enter(_STAGE_FROZEN)
 
     def _apply_selection(self):
@@ -698,7 +706,6 @@ class TrainingRun:
         order = np.argsort(scores, kind="stable")
         keep = sorted(int(i) for i in order[:self.cfg.b_out])
         self.selected_bits = keep
-        self.score_sum = None
         self._end_with_last_layer(self.net.weights[-1][:, keep].copy(),
                                   self.net.biases[-1][keep].copy())
 
@@ -706,7 +713,6 @@ class TrainingRun:
         """Two stacked affines with no nonlinearity fold into one."""
         weight = self.net.weights[-1] @ self.fc_w
         bias = self.net.biases[-1] @ self.fc_w + self.fc_b
-        self.fc_w = self.fc_b = None
         self._end_with_last_layer(weight, bias)
 
     def _end_with_last_layer(self, weight, bias):

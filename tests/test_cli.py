@@ -468,13 +468,14 @@ def _walk_cases(body, skip=()):
 
 @pytest.mark.parametrize("variant, stop, stage", [
     ("full", 3, "active"), ("full", 5, "frozen"), ("select", 3, "score"),
-    ("fclayer", 3, "fc")], ids=["mid-active", "mid-frozen", "mid-score",
-                                "mid-fc"])
+    ("fclayer", 3, "fc"), ("fclayer", 1, "base")],
+    ids=["mid-active", "mid-frozen", "mid-score", "mid-fc", "mid-base"])
 def test_mutation_walk_never_ends_in_a_traceback(data_file, tmp_path, capsys,
                                                  variant, stop, stage):
     # a checkpoint in the middle of each stage that holds more than the
-    # base stage's entries; the config section is left out, as its checks
-    # have tests of their own
+    # base stage's entries, and one in fclayer's base stage, whose head is
+    # drawn only when the fc stage starts; the config section is left out,
+    # as its checks have tests of their own
     args = build_parser().parse_args(["train", "--data", str(data_file),
                                       *TRAIN_FLAGS, "--variant", variant])
     dataset = load_features(data_file)
@@ -490,10 +491,11 @@ def test_mutation_walk_never_ends_in_a_traceback(data_file, tmp_path, capsys,
         try:
             rc = main(["evaluate", "--checkpoint", str(ckpt),
                        "--data", str(data_file)])
-            # evaluate accepted it, so it must resume to a report
+            # evaluate accepted it, so it must resume to a report at b_out
             if rc == 0:
-                TrainingRun.from_checkpoint(load_checkpoint(ckpt),
-                                            dataset).run().report()
+                report = TrainingRun.from_checkpoint(load_checkpoint(ckpt),
+                                                     dataset).run().report()
+                assert report.final["effective_bits"] == run.cfg.b_out
         except Exception as exc:  # name the case in the failure
             raise AssertionError(f"{case} raised {exc!r}") from exc
         err = capsys.readouterr().err

@@ -59,6 +59,9 @@ def test_net_refuses_arrays_that_do_not_fit_layer_dims():
             ((3,), [], [])]:
         with pytest.raises(ValueError, match="do not fit layer_dims"):
             HashNet(dims, weights, biases)
+    # arrays can fit a layer of width 0, which no net has
+    with pytest.raises(ValueError, match="layer sizes must be >= 1"):
+        HashNet((3, 0), [np.zeros((3, 0))], [np.zeros(0)])
 
 
 # --- forward pass -----------------------------------------------------------

@@ -573,14 +573,23 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
     checkpoints.append(done)
     cases.append(("counters", "epoch_in_stage",
                   {**done.counters, "epoch_in_stage": 1}))
-    # the entries the score and fc stages read, and a round outside a round
-    for variant, key, value in [("select", "score_sum", None),
-                                ("select", "current_round", {}),
-                                ("fclayer", "fc_w", None),
-                                ("fclayer", "fc_w", encode(np.zeros((6, 8)))),
-                                ("fclayer", "fc_b", None)]:
+    # the entries the score and fc stages read, a round outside a round,
+    # a negative score count, and arrays held outside the stage that reads
+    # them: a head in the base stage, an adjacency after its truncation and
+    # a score sum after the selection
+    for variant, stop, stage, key, value in [
+            ("select", 3, "score", "score_sum", None),
+            ("select", 3, "score", "current_round", {}),
+            ("select", 3, "score", "score_batches", -1),
+            ("fclayer", 3, "fc", "fc_w", None),
+            ("fclayer", 3, "fc", "fc_w", encode(np.zeros((6, 8)))),
+            ("fclayer", 3, "fc", "fc_b", None),
+            ("fclayer", 1, "base", "fc_w", encode(np.zeros((8, 7)))),
+            ("full", 5, "frozen", "round_adjacency", encode(np.zeros((6, 6)))),
+            ("select", None, "done", "score_sum", encode(np.zeros(6)))]:
         other = TrainingRun(small_config(variant=variant),
-                            dataset).run(stop_after=3).to_checkpoint()
+                            dataset).run(stop_after=stop).to_checkpoint()
+        assert other.counters["stage"] == stage
         checkpoints.append(other)
         cases.append(("progress", key, {**other.progress, key: value}))
     for base, (section, key, edited) in zip(checkpoints, cases):
@@ -663,8 +672,12 @@ def test_resume_at_every_epoch_matches_for_each_variant(tmp_path, dataset,
         first = TrainingRun(cfg, dataset).run(stop_after=stop)
         path = tmp_path / f"{variant}{stop}.ckpt"
         save_checkpoint(first.to_checkpoint(), path)
-        resumed = TrainingRun.from_checkpoint(load_checkpoint(path),
-                                              dataset).run()
+        ckpt = load_checkpoint(path)
+        # the checkpoint holds exactly the arrays its stage starts with
+        fresh = first._stage_arrays(first.stage)
+        assert {n for n in fresh if ckpt.progress[n] is not None} == \
+            {n for n, a in fresh.items() if a is not None}, f"stop={stop}"
+        resumed = TrainingRun.from_checkpoint(ckpt, dataset).run()
         assert resumed.report().to_json() == expected, f"stop={stop}"
 
 
