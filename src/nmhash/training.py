@@ -222,13 +222,21 @@ class ExperimentConfig:
                 _STAGE_FROZEN: self.n1_epochs, _STAGE_SCORE: self.n0_epochs,
                 _STAGE_FC: self.planned_merge_rounds() * self.n1_epochs}
 
-    def planned_epochs(self) -> int:
-        """The epochs this config's run takes: its base stage, its merge
-        rounds if its schedule has any, and the stage after them."""
+    def epochs_before(self, stage: str, rounds_done: int) -> int:
+        """The epochs a run has trained when it enters the stage with
+        rounds_done merge rounds finished: its base stage, those rounds,
+        and the stages before this one in its round or after the rounds."""
+        if stage == _STAGE_BASE:
+            return 0
         rounds, last = _SCHEDULES[self.variant]
+        part = rounds if stage in rounds else (last, _STAGE_DONE)
         epochs = self.stage_epochs()
-        return epochs[_STAGE_BASE] + epochs.get(last, 0) + \
-            self.planned_merge_rounds() * sum(epochs[s] for s in rounds)
+        return sum(epochs[s] for s in (_STAGE_BASE, *rounds * rounds_done,
+                                       *part[:part.index(stage)]))
+
+    def planned_epochs(self) -> int:
+        """The epochs this config's run takes."""
+        return self.epochs_before(_STAGE_DONE, self.planned_merge_rounds())
 
     def budget_matched(self, variant: str) -> "ExperimentConfig":
         """This config as the given variant on the merging schedule's
@@ -283,24 +291,20 @@ class RunReport:
 
 
 CHECKPOINT_MAGIC = "HMRG1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # a run's resumable state besides its network, graph and generator:
 # attribute -> (checkpoint section, type, value at the start of a run);
 # arrays are float64 or None and are stored base64-encoded
 _STATE = {
     "stage": ("counters", str, _STAGE_BASE),
-    "round_index": ("counters", int, 0),
     "epoch_in_stage": ("counters", int, 0),
-    "global_epoch": ("counters", int, 0),
     "base_loss_per_epoch": ("progress", list[float], []),
-    "base_map": ("progress", float, None),
     "rounds_done": ("progress", list[dict], []),
     "current_round": ("progress", dict, None),
     "bit_trace": ("progress", list[tuple[int, float]], []),
     "round_adjacency": ("progress", np.ndarray, None),
     "score_sum": ("progress", np.ndarray, None),
-    "score_batches": ("progress", int, 0),
     "fc_w": ("progress", np.ndarray, None),
     "fc_b": ("progress", np.ndarray, None),
     "selected_bits": ("progress", list[int], None),
@@ -457,11 +461,9 @@ class TrainingRun:
             # copies: the run keeps appending to its round records
             sections[section][name] = copy.deepcopy(value)
         net = {"layer_dims": list(self.net.layer_dims),
-               "hidden_activation": "tanh",
                "weights": [_encode_array(w) for w in self.net.weights],
                "biases": [_encode_array(b) for b in self.net.biases]}
-        graph = {"n_nodes": self.graph.n_nodes,
-                 "groups": [list(g) for g in self.graph.groups]}
+        graph = {"groups": [list(g) for g in self.graph.groups]}
         return Checkpoint(self.cfg.to_dict(), net, graph,
                           sections["counters"], self.rng.bit_generator.state,
                           sections["progress"], self._dataset_sha256())
@@ -482,15 +484,14 @@ class TrainingRun:
             if not isinstance(got, dict) or set(got) != keys:
                 raise CheckpointError(
                     f"checkpoint's {section!r} section must hold exactly "
-                    f"the entries {sorted(keys)}")
-        self.net = _decoded("net", ckpt.net, lambda d: HashNet(
-            tuple(d["layer_dims"]),
-            [_decode_array(w, "net.weights") for w in d["weights"]],
-            [_decode_array(b, "net.biases") for b in d["biases"]]))
-        if (act := ckpt.net.get("hidden_activation")) != "tanh":
-            raise CheckpointError("checkpoint's net.hidden_activation must "
-                                  f"be 'tanh', got {act!r}")
-        self.graph = _decoded("graph", ckpt.graph, lambda d: MergeGraph(**d))
+                    f"the entries {sorted(keys)}, got "
+                    f"{sorted(got) if isinstance(got, dict) else got!r}")
+        self.net = _decoded("net", ckpt.net, lambda d: HashNet(**{
+            **d, "layer_dims": tuple(d["layer_dims"]),
+            "weights": [_decode_array(w, "net.weights") for w in d["weights"]],
+            "biases": [_decode_array(b, "net.biases") for b in d["biases"]]}))
+        self.graph = _decoded("graph", ckpt.graph,
+                              lambda d: MergeGraph(self.net.n_bits, **d))
         self.rng = np.random.default_rng()
         try:
             self.rng.bit_generator.state = ckpt.rng_state
@@ -519,9 +520,6 @@ class TrainingRun:
         if not run.cfg.runs_stage(run.stage):
             raise CheckpointError(f"checkpoint has unknown stage {run.stage!r}"
                                   f" for variant {run.cfg.variant!r}")
-        if run.stage != _STAGE_BASE and run.base_map is None:
-            raise CheckpointError(f"checkpoint's progress.base_map is null "
-                                  f"in stage {run.stage!r}")
         if run.stage in (_STAGE_ACTIVE, _STAGE_FROZEN) and not (
                 isinstance(run.current_round, dict) and all(
                     isinstance(run.current_round.get(log), list)
@@ -540,45 +538,50 @@ class TrainingRun:
                 f"checkpoint's counters.epoch_in_stage must be in "
                 f"range({epochs}) in stage {run.stage!r}, "
                 f"got {run.epoch_in_stage}")
-        if run.global_epoch < run.epoch_in_stage:
-            raise CheckpointError(
-                "checkpoint's counters.global_epoch must be >= "
-                f"counters.epoch_in_stage, got {run.global_epoch}")
-        if run.score_batches < 0:  # _apply_selection divides by it
-            raise CheckpointError("checkpoint's progress.score_batches must "
-                                  f"be >= 0, got {run.score_batches}")
         if run._dataset_sha256() != ckpt.dataset_sha256:
             raise CheckpointError(
                 "checkpoint was written for a different dataset: features, "
                 "labels or splits differ"
             )
-        # sizes that the sections, the data and the stage must agree on
-        k, width = run.graph.n_groups, run.net.n_bits
-        fits = [("net.layer_dims[0]", run.net.input_dim,
-                 run.features.shape[1], "to match the data's feature count"),
-                ("graph.n_nodes", run.graph.n_nodes, width,
-                 "to match the net's output width"),
-                ("counters.round_index", run.round_index,
-                 len(run.rounds_done) + (run.current_round is not None),
-                 "to count the rounds done and open")]
-        if run.current_round is not None:
-            fits.append(("progress.current_round.round",
-                         run.current_round.get("round"), run.round_index,
-                         "to match counters.round_index"))
-        if run.done:  # the report reads its final MAP from the trace
-            fits.append(("progress.bit_trace's last bit count",
-                         run.bit_trace[-1][0] if run.bit_trace else "none",
-                         k, "in stage 'done'"))
-        for name, fresh in run._stage_arrays(run.stage).items():
-            value = getattr(run, name)
-            fits.append((f"progress.{name} shape",
-                         "null" if value is None else value.shape,
-                         "null" if fresh is None else fresh.shape,
-                         f"in stage {run.stage!r}"))
-        for where, got, want, why in fits:
+        # sizes that the sections, the data and the stage must agree on,
+        # checked in order, so the trace's length is known before its end
+        def fit(where, got, want, why):
             if got != want:
                 raise CheckpointError(
                     f"checkpoint's {where} must be {want} {why}, got {got}")
+
+        fit("net.layer_dims[0]", run.net.input_dim, run.features.shape[1],
+            "to match the data's feature count")
+        # base and each round append one entry, and a stage after the rounds
+        fit("progress.bit_trace's length", len(run.bit_trace),
+            (run.stage != _STAGE_BASE) + len(run.rounds_done) + (
+                run.done and _SCHEDULES[run.cfg.variant][1] != _STAGE_DONE),
+            f"in stage {run.stage!r} with {len(run.rounds_done)} "
+            "progress.rounds_done")
+        if run.current_round is not None:
+            fit("progress.current_round.round", run.current_round.get("round"),
+                run.round_index, "to follow progress.rounds_done")
+        if run.done:  # the report reads its final MAP from the trace
+            fit("progress.bit_trace's last bit count", run.bit_trace[-1][0],
+                run.graph.n_groups, "in stage 'done'")
+        for name, fresh in run._stage_arrays(run.stage).items():
+            value = getattr(run, name)
+            fit(f"progress.{name} shape",
+                "null" if value is None else value.shape,
+                "null" if fresh is None else fresh.shape,
+                f"in stage {run.stage!r}")
+        # a finished select run keeps the ids of the bits it picked
+        picks, ids = run.selected_bits, range(run.cfg.encoder_width())
+        if run.done and run.cfg.runs_stage(_STAGE_SCORE):
+            want = f"{run.graph.n_groups} sorted, distinct ids below {len(ids)}"
+            ok = picks is not None and len(picks) == run.graph.n_groups \
+                and picks == sorted(set(picks) & set(ids))
+        else:
+            want, ok = "null", picks is None
+        if not ok:
+            raise CheckpointError(f"checkpoint's progress.selected_bits must "
+                                  f"be {want} in stage {run.stage!r}, "
+                                  f"got {picks}")
         bits = [b for b, _ in run.bit_trace] + [run.graph.n_groups]
         if any(b2 > b1 for b1, b2 in zip(bits, bits[1:])):
             raise CheckpointError(
@@ -591,6 +594,17 @@ class TrainingRun:
     @property
     def done(self) -> bool:
         return self.stage == _STAGE_DONE
+
+    @property
+    def round_index(self) -> int:
+        """The number of merge rounds finished or open."""
+        return len(self.rounds_done) + (self.current_round is not None)
+
+    @property
+    def global_epoch(self) -> int:
+        """The epochs trained so far, read from the schedule."""
+        return self.cfg.epochs_before(self.stage, len(self.rounds_done)) \
+            + self.epoch_in_stage
 
     def _stages(self) -> dict:
         """stage -> (its per-batch step, its completion step).
@@ -612,7 +626,6 @@ class TrainingRun:
             if stop_after is not None and self.global_epoch >= stop_after:
                 break
             self._epoch()
-            self.global_epoch += 1
             self.epoch_in_stage += 1
             self._settle()
         return self
@@ -645,9 +658,7 @@ class TrainingRun:
         """End of the base stage, or of a merge round's frozen stage."""
         stage_map = self._map_eval()
         self.bit_trace.append([self.graph.n_groups, stage_map])
-        if self.current_round is None:
-            self.base_map = stage_map
-        else:
+        if self.current_round is not None:
             self.current_round["map"] = stage_map
             self.rounds_done.append(self.current_round)
             self.current_round = None
@@ -678,9 +689,8 @@ class TrainingRun:
         return arrays
 
     def _start_merge_round(self, first: str):
-        self.round_index += 1
         k = self.graph.n_groups
-        self.current_round = {"round": self.round_index, "bits_before": k,
+        self.current_round = {"round": self.round_index + 1, "bits_before": k,
                               **{log: [] for log in _ROUND_LOGS}}
         if first == _STAGE_ACTIVE:
             self._enter(_STAGE_ACTIVE)
@@ -701,7 +711,10 @@ class TrainingRun:
         self._enter(_STAGE_FROZEN)
 
     def _apply_selection(self):
-        scores = self.score_sum / self.score_batches
+        # every score epoch scores each score_every-th batch
+        batches = len(range(0, self.train_idx.size,
+                            self.cfg.batch_size * self.cfg.score_every))
+        scores = self.score_sum / (self.cfg.n0_epochs * batches)
         # low leave-one-out MAP = removal hurts = important bit; keep those
         order = np.argsort(scores, kind="stable")
         keep = sorted(int(i) for i in order[:self.cfg.b_out])
@@ -797,7 +810,6 @@ class TrainingRun:
         if p is None:
             return None
         self.score_sum += p
-        self.score_batches += 1
         return {}
 
     # -- evaluation ------------------------------------------------------
@@ -838,7 +850,7 @@ class TrainingRun:
             config=self.cfg.to_dict(),
             epochs_total=self.global_epoch,
             base={"epochs": self.cfg.base_epochs,
-                  "map": float(self.base_map),
+                  "map": float(self.bit_trace[0][1]),
                   "hash_loss_per_epoch": [float(v) for v in
                                           self.base_loss_per_epoch]},
             rounds=self.rounds_done,

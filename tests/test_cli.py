@@ -335,10 +335,20 @@ def test_evaluate_rejects_foreign_checkpoint(trained, capsys):
 def test_evaluate_rejects_checkpoint_missing_a_section(data_file, tmp_path,
                                                      capsys):
     ckpt = tmp_path / "bare.ckpt"
-    ckpt.write_text('HMRG1\n{"format_version": 2}\n')
+    ckpt.write_text('HMRG1\n{"format_version": 3}\n')
     assert main(["evaluate", "--checkpoint", str(ckpt),
                  "--data", str(data_file)]) == 1
     assert "'config'" in _err_line(capsys)
+
+
+def test_evaluate_refuses_a_version_2_checkpoint(data_file, tmp_path,
+                                                 capsys):
+    ckpt = tmp_path / "v2.ckpt"
+    ckpt.write_text('HMRG1\n{"format_version": 2}\n')
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(data_file)]) == 1
+    assert "unsupported checkpoint version 2 (this build reads 3)" in \
+        _err_line(capsys)
 
 
 def _edited_checkpoint(src, dst, edit):
@@ -362,7 +372,8 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     (lambda b: b.update(counters={}), "'counters' section"),
     (lambda b: b["counters"].update(stage="bogus"), "unknown stage 'bogus'"),
     (lambda b: b["counters"].update(global_epoch="x"),
-     "counters.global_epoch must be int, got str"),
+     "'counters' section must hold exactly the entries ['epoch_in_stage', "
+     "'stage'], got ['epoch_in_stage', 'global_epoch', 'stage']"),
     (lambda b: b["progress"].update(round_adjacency={}),
      "progress.round_adjacency must be a float64 array"),
     (lambda b: b.update(net="x"), "'net' section must be an object"),
@@ -386,16 +397,31 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     (lambda b: b["counters"].update(epoch_in_stage=-3),
      "counters.epoch_in_stage must be in range(1) in stage 'done', got -3"),
     (lambda b: b["counters"].update(global_epoch=-50),
-     "counters.global_epoch must be >= counters.epoch_in_stage, got -50"),
+     "'counters' section must hold exactly the entries ['epoch_in_stage', "
+     "'stage'], got ['epoch_in_stage', 'global_epoch', 'stage']"),
     (lambda b: b["counters"].update(round_index=-4),
-     "counters.round_index must be 1 to count the rounds done and open, "
-     "got -4"),
+     "'counters' section must hold exactly the entries ['epoch_in_stage', "
+     "'stage'], got ['epoch_in_stage', 'round_index', 'stage']"),
     (lambda b: b["progress"].update(bit_trace=[]),
-     "progress.bit_trace's last bit count must be 6 in stage 'done', "
-     "got none"),
+     "progress.bit_trace's length must be 2 in stage 'done' with 1 "
+     "progress.rounds_done, got 0"),
     (lambda b: b["progress"].update(bit_trace=[[8, 0.5]]),
-     "progress.bit_trace's last bit count must be 6 in stage 'done', "
-     "got 8"),
+     "progress.bit_trace's length must be 2 in stage 'done' with 1 "
+     "progress.rounds_done, got 1"),
+    (lambda b: b["progress"]["bit_trace"].pop(1),
+     "progress.bit_trace's length must be 2 in stage 'done' with 1 "
+     "progress.rounds_done, got 1"),
+    (lambda b: b["progress"]["bit_trace"].insert(
+        0, b["progress"]["bit_trace"][0]),
+     "progress.bit_trace's length must be 2 in stage 'done' with 1 "
+     "progress.rounds_done, got 3"),
+    (lambda b: b["progress"]["rounds_done"].pop(0),
+     "progress.bit_trace's length must be 1 in stage 'done' with 0 "
+     "progress.rounds_done, got 2"),
+    (lambda b: b["progress"].update(base_map=0.5),
+     "'progress' section must hold exactly the entries"),
+    (lambda b: b["progress"].update(selected_bits=[0, 1]),
+     "progress.selected_bits must be null in stage 'done', got [0, 1]"),
 ], ids=["empty-progress", "empty-counters", "unknown-stage",
         "str-global-epoch", "empty-adjacency-object", "str-net", "str-graph",
         "str-rng-state", "negative-rng-state-entry", "null-graph-groups",
@@ -403,7 +429,9 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
         "null-net-biases", "transposed-weight", "null-bit-trace-item",
         "null-base-loss-item", "negative-epoch-in-stage",
         "negative-global-epoch", "negative-round-index", "empty-bit-trace",
-        "bit-trace-of-another-width"])
+        "bit-trace-of-another-width", "dropped-bit-trace-entry",
+        "duplicated-bit-trace-entry", "dropped-round-record",
+        "base-map-entry", "selected-bits-outside-select"])
 def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
                                                          capsys, edit,
                                                          message):
@@ -411,6 +439,23 @@ def test_evaluate_rejects_malformed_counters_or_progress(trained, tmp_path,
     assert main(["evaluate", "--checkpoint", str(ckpt),
                  "--data", str(trained["data"])]) == 1
     assert message in _err_line(capsys)
+
+
+@pytest.mark.parametrize("picks", [None, [0], [9, 10, 11, 12, 13, 14]],
+                         ids=["null", "one-id", "ids-beyond-the-width"])
+def test_evaluate_rejects_selected_bits_that_do_not_fit(data_file, tmp_path,
+                                                        capsys, picks):
+    # a finished select run picks b_out sorted, distinct ids of its 8 bits
+    ckpt = tmp_path / "select.ckpt"
+    assert main(["train", "--data", str(data_file), "--variant", "select",
+                 *TRAIN_FLAGS, "--out-checkpoint", str(ckpt)]) == 0
+    edited = _edited_checkpoint(
+        ckpt, tmp_path / "picks.ckpt",
+        lambda b: b["progress"].update(selected_bits=picks))
+    assert main(["evaluate", "--checkpoint", str(edited),
+                 "--data", str(data_file)]) == 1
+    assert "progress.selected_bits must be 6 sorted, distinct ids below 8 " \
+        f"in stage 'done', got {picks}" in _err_line(capsys)
 
 
 @pytest.mark.parametrize("variant, stop, stage, arrays", [
@@ -634,7 +679,7 @@ def test_export_curves_after_the_base_stage(data_file, tmp_path):
                  "--data", str(data_file),
                  "--out-dir", str(tmp_path / "curves")]) == 0
     assert _bit_reduction_rows(tmp_path / "curves") == \
-        [[cfg.b_in, run.base_map]]
+        [[cfg.b_in, run.bit_trace[0][1]]]
 
 
 # --- ablate ----------------------------------------------------------------------------

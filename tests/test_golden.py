@@ -13,7 +13,8 @@ tests/golden.json holds the sha256 of:
 The bytes depend on the numpy and BLAS builds, so the file also records
 the environment they were taken in.  Under another environment the test
 fails and names what differs.  A change that alters these bytes on
-purpose regenerates the file in the same commit:
+purpose regenerates the file in the same commit, and the rewrite prints
+the name of every hash that changed, was added or was removed:
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 """
@@ -126,7 +127,17 @@ def test_outputs_match_golden_hashes():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit(f"usage: python {sys.argv[0]} --rewrite")
+    old = json.loads(GOLDEN.read_text())["sha256"] if GOLDEN.exists() else {}
+    new = output_hashes()
+    # name every hash the rewrite touches, so a review sees what moved
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            print(f"removed {name}")
+        elif name not in old:
+            print(f"added {name}")
+        elif old[name] != new[name]:
+            print(f"changed {name}")
     GOLDEN.write_text(json.dumps({"environment": environment(),
-                                  "sha256": output_hashes()},
+                                  "sha256": new},
                                  indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {GOLDEN.name}: {len(new)} hashes")

@@ -486,11 +486,17 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     v1.write_text('HMRG1\n{"format_version": 1}\n')
     with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(v1)
+    # format 2 also stored counters, the base MAP, the score count, the
+    # activation and the node count, which format 3 derives; retrain
+    v2 = tmp_path / "v2"
+    v2.write_text('HMRG1\n{"format_version": 2}\n')
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_checkpoint(v2)
 
 
 def test_checkpoint_missing_section_is_refused(tmp_path, dataset):
     bare = tmp_path / "bare"
-    bare.write_text('HMRG1\n{"format_version": 2}\n')
+    bare.write_text('HMRG1\n{"format_version": 3}\n')
     with pytest.raises(CheckpointError, match="'config'"):
         load_checkpoint(bare)
     not_an_object = tmp_path / "list_body"
@@ -525,11 +531,10 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
             del deleted[key]
             cases += [(section, key, deleted),
                       (section, key, {**getattr(ckpt, section), key: "x"})]
-    assert len(cases) == 30
-    # entries of the right type that do not fit the stage: after the base
-    # stage base_map is set, and an active round lists its losses
+    assert len(cases) == 22
+    # entries of the right type that do not fit the stage: an active round
+    # lists its losses
     progress = ckpt.progress
-    cases.append(("progress", "base_map", {**progress, "base_map": None}))
     rounds = [None, {}]
     for log in ("active_loss_per_epoch", "hash_loss_per_epoch",
                 "frozen_loss_per_epoch"):
@@ -544,8 +549,7 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
     wide["weights"] = [encode(np.zeros((7, 32))), *wide["weights"][1:]]
     cases += [
         ("net", "layer_dims", wide),
-        ("net", "hidden_activation", {**ckpt.net, "hidden_activation": "relu"}),
-        ("graph", "n_nodes", {"n_nodes": 7, "groups": [[i] for i in range(7)]}),
+        ("graph", "groups", {"groups": [[i] for i in range(7)]}),
         ("progress", "round_adjacency", {**progress, "round_adjacency": None}),
         ("progress", "round_adjacency",
          {**progress, "round_adjacency": encode(np.zeros((7, 7)))}),
@@ -555,46 +559,90 @@ def test_every_counters_and_progress_entry_is_checked(tmp_path, dataset):
     # counters that do not fit the stage: this is active epoch 1 of n0 2,
     # global epoch 3, in the first round, which is open
     counters, open_round = ckpt.counters, progress["current_round"]
-    assert (counters["epoch_in_stage"], counters["global_epoch"],
-            counters["round_index"], open_round["round"]) == (1, 3, 1, 1)
+    assert (counters["epoch_in_stage"], run.global_epoch, run.round_index,
+            open_round["round"]) == (1, 3, 1, 1)
     cases += [("counters", key, {**counters, key: value})
               for key, value in [("epoch_in_stage", -1),
-                                 ("epoch_in_stage", 2),
-                                 ("global_epoch", 0), ("round_index", 0),
-                                 ("round_index", 2)]]
+                                 ("epoch_in_stage", 2)]]
     cases += [("progress", "current_round",
                {**progress, "current_round": {**open_round, "round": 2}}),
               ("progress", "current_round",
                {**progress, "current_round": {
                    k: v for k, v in open_round.items() if k != "round"}})]
     checkpoints = [ckpt] * len(cases)
-    # a finished run's stage has no epochs left
+    # a finished run's stage has no epochs left, and its trace holds one
+    # entry for the base stage and one for each round record
     done = TrainingRun(small_config(), dataset).run().to_checkpoint()
+    trace, records = done.progress["bit_trace"], done.progress["rounds_done"]
+    assert len(trace) == 2 and len(records) == 1
+    for key, value in [("bit_trace", trace[:1]),
+                       ("bit_trace", trace[:1] + trace),
+                       ("rounds_done", [])]:
+        checkpoints.append(done)
+        cases.append(("progress", key, {**done.progress, key: value}))
     checkpoints.append(done)
     cases.append(("counters", "epoch_in_stage",
                   {**done.counters, "epoch_in_stage": 1}))
     # the entries the score and fc stages read, a round outside a round,
-    # a negative score count, and arrays held outside the stage that reads
-    # them: a head in the base stage, an adjacency after its truncation and
-    # a score sum after the selection
+    # arrays held outside the stage that reads them (a head in the base
+    # stage, an adjacency after its truncation and a score sum after the
+    # selection), and picked bits outside a finished select run or not
+    # b_out sorted, distinct ids of the encoder's bits in one
     for variant, stop, stage, key, value in [
             ("select", 3, "score", "score_sum", None),
             ("select", 3, "score", "current_round", {}),
-            ("select", 3, "score", "score_batches", -1),
+            ("select", 3, "score", "selected_bits", [0, 1]),
+            ("select", None, "done", "selected_bits", None),
+            ("select", None, "done", "selected_bits", [0]),
+            ("select", None, "done", "selected_bits", [9, 10, 11, 12, 13]),
+            ("select", None, "done", "selected_bits", [0, 2, 4, 7, 5]),
+            ("select", None, "done", "selected_bits", [0, 2, 2, 4, 5]),
+            ("select", None, "done", "selected_bits", [-1, 0, 2, 4, 5]),
+            ("full", None, "done", "selected_bits", [0, 1]),
+            ("full", 1, "base", "selected_bits", [0, 1]),
             ("fclayer", 3, "fc", "fc_w", None),
             ("fclayer", 3, "fc", "fc_w", encode(np.zeros((6, 8)))),
             ("fclayer", 3, "fc", "fc_b", None),
             ("fclayer", 1, "base", "fc_w", encode(np.zeros((8, 7)))),
             ("full", 5, "frozen", "round_adjacency", encode(np.zeros((6, 6)))),
             ("select", None, "done", "score_sum", encode(np.zeros(6)))]:
-        other = TrainingRun(small_config(variant=variant),
+        other = TrainingRun(small_config(variant=variant, b_out=5),
                             dataset).run(stop_after=stop).to_checkpoint()
         assert other.counters["stage"] == stage
         checkpoints.append(other)
         cases.append(("progress", key, {**other.progress, key: value}))
-    for base, (section, key, edited) in zip(checkpoints, cases):
+    # the net and graph entries format 3 derives; a net with another
+    # activation is refused, as one with tanh is
+    cases += [("net", "hidden_activation",
+               {**ckpt.net, "hidden_activation": activation})
+              for activation in ("relu", "tanh")]
+    cases += [("graph", "n_nodes", {"n_nodes": n, "groups": groups})
+              for n, groups in [(7, [[i] for i in range(7)]),
+                                (8, ckpt.graph["groups"])]]
+    checkpoints += [ckpt] * 4
+    for base, (section, key, edited) in zip(checkpoints, cases, strict=True):
         bad = dataclasses.replace(base, **{section: edited})
         with pytest.raises(CheckpointError, match=key):
+            TrainingRun.from_checkpoint(bad, dataset)
+    # the counters and progress entries format 3 derives, at the values
+    # the run has and at values that do not fit it, are not its entries
+    select = TrainingRun(small_config(variant="select"), dataset).run(
+        stop_after=3).to_checkpoint()
+    assert select.counters["stage"] == "score"
+    for base, section, key, value in [
+            (ckpt, "progress", "base_map", None),
+            (ckpt, "progress", "base_map", progress["bit_trace"][0][1]),
+            (ckpt, "counters", "global_epoch", 0),
+            (ckpt, "counters", "global_epoch", 3),
+            (ckpt, "counters", "round_index", 0),
+            (ckpt, "counters", "round_index", 1),
+            (ckpt, "counters", "round_index", 2),
+            (select, "progress", "score_batches", -1),
+            (select, "progress", "score_batches", 4)]:
+        bad = dataclasses.replace(
+            base, **{section: {**getattr(base, section), key: value}})
+        with pytest.raises(CheckpointError, match=rf"'{section}' section "
+                           rf"must hold exactly the entries .*'{key}'"):
             TrainingRun.from_checkpoint(bad, dataset)
     # the unedited checkpoint still resumes
     assert TrainingRun.from_checkpoint(ckpt, dataset).run().done
@@ -621,8 +669,13 @@ def test_checkpoint_graph_section_is_the_partition(tmp_path, dataset):
     magic, body = path.read_text().split("\n", 1)
     assert magic == CHECKPOINT_MAGIC
     body = json.loads(body)
-    assert body["format_version"] == 2
-    assert body["graph"] == {"n_nodes": 8, "groups": run.graph.groups}
+    assert body["format_version"] == 3
+    assert body["graph"] == {"groups": run.graph.groups}
+    # each fact once: the counters, MAPs, score count, activation and node
+    # count are derived from these
+    assert sorted(body["counters"]) == ["epoch_in_stage", "stage"]
+    assert not {"base_map", "score_batches"} & set(body["progress"])
+    assert sorted(body["net"]) == ["biases", "layer_dims", "weights"]
     assert len(body["dataset_sha256"]) == 64
 
 
@@ -670,6 +723,7 @@ def test_resume_at_every_epoch_matches_for_each_variant(tmp_path, dataset,
     expected = straight.report().to_json()
     for stop in range(straight.global_epoch + 1):
         first = TrainingRun(cfg, dataset).run(stop_after=stop)
+        assert first.global_epoch == stop
         path = tmp_path / f"{variant}{stop}.ckpt"
         save_checkpoint(first.to_checkpoint(), path)
         ckpt = load_checkpoint(path)
@@ -677,8 +731,9 @@ def test_resume_at_every_epoch_matches_for_each_variant(tmp_path, dataset,
         fresh = first._stage_arrays(first.stage)
         assert {n for n in fresh if ckpt.progress[n] is not None} == \
             {n for n, a in fresh.items() if a is not None}, f"stop={stop}"
-        resumed = TrainingRun.from_checkpoint(ckpt, dataset).run()
-        assert resumed.report().to_json() == expected, f"stop={stop}"
+        resumed = TrainingRun.from_checkpoint(ckpt, dataset)
+        assert resumed.global_epoch == stop
+        assert resumed.run().report().to_json() == expected, f"stop={stop}"
 
 
 def test_resume_in_two_hops_matches(tmp_path, dataset):
